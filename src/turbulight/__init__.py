@@ -27,11 +27,9 @@ from .pdt import (
     PerfectlyCorrelated,
     Product,
     Scaled,
-    SelectionPolicy,
     TransmittanceDistribution,
     TruncatedLogNormal,
     adaptive_correlate,
-    sample,
 )
 from .states import (
     SingleModeGaussian,
@@ -110,11 +108,9 @@ __all__ = [
     "PerfectlyCorrelated",
     "Product",
     "Scaled",
-    "SelectionPolicy",
     "TransmittanceDistribution",
     "TruncatedLogNormal",
     "adaptive_correlate",
-    "sample",
     # states
     "SingleModeGaussian",
     "TwoModeMoments",

@@ -97,20 +97,30 @@ def _tanh2(squeezing):
     return th * th
 
 
-def c_terms(eta_a, eta_b, efficiency, squeezing, theta_a, theta_b) -> CTerms:
-    """Evaluate the five polynomials; broadcasts over eta arrays."""
-    t = _tanh2(squeezing)
-    x = efficiency * np.asarray(eta_a, dtype=float)
-    y = efficiency * np.asarray(eta_b, dtype=float)
+def _pair_terms(x, y, t):
+    """C_0, C_1A, C_1B and the angle-free factors of C_same / C_different."""
     s = x * y * t - (1.0 + (x - 1.0) * t) * (1.0 + (y - 1.0) * t)
     c0 = s * s
     c1a = y * (1.0 - x) * (1.0 - t) * t * s
     c1b = x * (1.0 - y) * (1.0 - t) * t * s
     common = x * y * t * (1.0 - t) ** 2
     joint_vac = (1.0 - x) * (1.0 - y) * t
-    delta = theta_a - theta_b
+    return c0, c1a, c1b, common, joint_vac
+
+
+def _angle_terms(common, joint_vac, delta):
+    """(C_same, C_different) at analyzer-angle difference delta."""
     same = common * (joint_vac - math.sin(delta) ** 2)
     different = common * (joint_vac - math.cos(delta) ** 2)
+    return same, different
+
+
+def c_terms(eta_a, eta_b, efficiency, squeezing, theta_a, theta_b) -> CTerms:
+    """Evaluate the five polynomials; broadcasts over eta arrays."""
+    x = efficiency * np.asarray(eta_a, dtype=float)
+    y = efficiency * np.asarray(eta_b, dtype=float)
+    c0, c1a, c1b, common, joint_vac = _pair_terms(x, y, _tanh2(squeezing))
+    same, different = _angle_terms(common, joint_vac, theta_a - theta_b)
     if np.ndim(eta_a) == 0 and np.ndim(eta_b) == 0:
         return CTerms(float(c0), float(c1a), float(c1b), float(same), float(different))
     return CTerms(c0, c1a, c1b, same, different)
@@ -155,17 +165,11 @@ def _reciprocal_averages(settings, angle_pairs, spec):
         x = eff * np.asarray(eta_a, dtype=float)
         y = eff * np.asarray(eta_b, dtype=float)
         x, y = np.broadcast_arrays(x, y)
-        s = x * y * t - (1.0 + (x - 1.0) * t) * (1.0 + (y - 1.0) * t)
-        c0 = s * s
-        c1a = y * (1.0 - x) * (1.0 - t) * t * s
-        c1b = x * (1.0 - y) * (1.0 - t) * t * s
+        c0, c1a, c1b, common, joint_vac = _pair_terms(x, y, t)
         d = c0 + c1a + c1b
-        common = x * y * t * (1.0 - t) ** 2
-        joint_vac = (1.0 - x) * (1.0 - y) * t
         parts = []
         for delta in deltas:
-            same = common * (joint_vac - math.sin(delta) ** 2)
-            different = common * (joint_vac - math.cos(delta) ** 2)
+            same, different = _angle_terms(common, joint_vac, delta)
             parts.append(1.0 / (d + same))
             parts.append(1.0 / (d + different))
         parts.append(c0 / (c0 + c1a) ** 2)

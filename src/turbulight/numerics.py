@@ -2,8 +2,10 @@
 
 Every ensemble average over a fluctuating transmittance in this package is
 either a finite sum over atoms or an integral against a smooth density on a
-subinterval of [0, 1].  Those integrals all funnel through the two adaptive
-integrators defined here, built on the classic (7, 15) Gauss-Kronrod pair:
+subinterval of [0, 1].  Those integrals all funnel through the one adaptive
+integrator defined here, :func:`integrate`, built on the classic (7, 15)
+Gauss-Kronrod pair; two-mode averages are iterated 1D integrals
+(:func:`integrate2`):
 
 * the 7-point Gauss rule G7 and its 15-point Kronrod extension K15 share
   nodes, so one batch of integrand evaluations yields both a high-order
@@ -23,7 +25,8 @@ integrators defined here, built on the classic (7, 15) Gauss-Kronrod pair:
 Integrands may be scalar valued or vector valued (return an array for an
 array of abscissas); vector integrands share one panel subdivision with the
 error measured in the max norm, which is how the Bell-test averages evaluate
-several correlated expectations in a single adaptive pass.
+several correlated expectations in a single adaptive pass, and how the
+inner integral of :func:`integrate2` treats a batch of outer nodes at once.
 
 If the depth budget runs out before the tolerance is met, the integrator
 raises :class:`QuadratureAccuracyError` carrying its best estimate and a
@@ -243,34 +246,16 @@ def integrate(f, a, b, spec=DEFAULT_QUADRATURE):
     return result
 
 
-def _panel_2d(f, ax, bx, ay, by):
-    """Tensor K15xK15 and G7xG7 difference on a rectangle."""
-    midx = 0.5 * (ax + bx)
-    halfx = 0.5 * (bx - ax)
-    midy = 0.5 * (ay + by)
-    halfy = 0.5 * (by - ay)
-    x = midx + halfx * _NODES
-    y = midy + halfy * _NODES
-    fxy = np.asarray(f(x[:, None], y[None, :]))
-    if fxy.shape[:2] != (15, 15):
-        raise ValueError(
-            "2D integrand must broadcast: f(x[:, None], y[None, :]) must "
-            "return an array with leading shape (15, 15)"
-        )
-    area = halfx * halfy
-    k = area * np.einsum("i,j,ij...->...", _WK, _WK, fxy)
-    g = area * np.einsum("i,j,ij...->...", _WG, _WG, fxy)
-    err = float(np.max(np.abs(k - g)))
-    return k, err
-
-
 def integrate2(f, ax, bx, ay, by, spec=DEFAULT_QUADRATURE):
-    """Adaptively integrate over the rectangle [ax, bx] x [ay, by].
+    """Integrate over the rectangle [ax, bx] x [ay, by] as an iterated integral.
 
-    The rule is the tensor product of the 1D Gauss-Kronrod pair; rejected
-    rectangles split into four quadrants.  ``f`` must broadcast over a
-    column of x values against a row of y values and may be vector valued
-    (trailing axes beyond the first two are carried through).
+    The outer :func:`integrate` runs over x; for each batch of outer nodes
+    its integrand is one vector-valued inner :func:`integrate` over y whose
+    components are those nodes, so each axis is refined only where it needs
+    it.  Both levels use ``spec``, and an inner failure propagates as
+    :class:`QuadratureAccuracyError`.  ``f`` must broadcast over a column of
+    x values against a row of y values and may be vector valued (trailing
+    axes beyond the first two are carried through).
     """
     for v in (ax, bx, ay, by):
         if not np.isfinite(v):
@@ -280,63 +265,19 @@ def integrate2(f, ax, bx, ay, by, spec=DEFAULT_QUADRATURE):
     if ax == bx or ay == by:
         return 0.0
 
-    whole, whole_err = _panel_2d(f, ax, bx, ay, by)
-    scale = max(float(np.max(np.abs(whole))), 1e-300)
-    tol = max(spec.abs_tol, spec.rel_tol * scale)
-    area = (bx - ax) * (by - ay)
+    def over_y(x):
+        def column(y):
+            fxy = np.asarray(f(x[:, None], y[None, :]))
+            if fxy.shape[:2] != (x.size, y.size):
+                raise ValueError(
+                    "2D integrand must broadcast: f(x[:, None], y[None, :]) "
+                    "must return an array with leading shape (nx, ny)"
+                )
+            return np.moveaxis(fxy, 0, -1)
 
-    heap = [(-whole_err, 0, ax, bx, ay, by, 0, whole)]
-    counter = 1
-    frozen = []
-    err_total = whole_err
-    exhausted = False
-    while err_total > tol:
-        if not heap:
-            exhausted = True
-            break
-        neg_err, _, x0, x1, y0, y1, depth, val = heapq.heappop(heap)
-        err = -neg_err
-        cell = (x1 - x0) * (y1 - y0)
-        if depth >= spec.max_depth or cell <= 1e-30 * area:
-            frozen.append((x0, x1, y0, y1, val))
-            if err > tol:
-                exhausted = True
-                break
-            continue
-        xm = 0.5 * (x0 + x1)
-        ym = 0.5 * (y0 + y1)
-        quads = (
-            (x0, xm, y0, ym),
-            (x0, xm, ym, y1),
-            (xm, x1, y0, ym),
-            (xm, x1, ym, y1),
-        )
-        err_total -= err
-        for qx0, qx1, qy0, qy1 in quads:
-            val_q, err_q = _panel_2d(f, qx0, qx1, qy0, qy1)
-            heapq.heappush(
-                heap, (-err_q, counter, qx0, qx1, qy0, qy1, depth + 1, val_q)
-            )
-            counter += 1
-            err_total += err_q
+        return np.moveaxis(np.asarray(integrate(column, ay, by, spec)), -1, 0)
 
-    panels = frozen + [
-        (x0, x1, y0, y1, val) for _, _, x0, x1, y0, y1, _, val in heap
-    ]
-    panels.sort(key=lambda p: (p[0], p[2], p[1], p[3]))
-    total = np.zeros_like(np.asarray(whole, dtype=np.result_type(whole, 1.0)))
-    for *_, val in panels:
-        total = total + val
-    result = total if total.ndim else float(total)
-    if exhausted:
-        raise QuadratureAccuracyError(
-            f"2D quadrature on [{ax!r}, {bx!r}] x [{ay!r}, {by!r}] did not "
-            f"reach tolerance {tol:.3e} within depth {spec.max_depth} "
-            f"(error bound {err_total:.3e})",
-            estimate=result,
-            error_bound=err_total,
-        )
-    return result
+    return integrate(over_y, ax, bx, spec)
 
 
 _MASK64 = (1 << 64) - 1

@@ -45,13 +45,11 @@ __all__ = [
     "Beta",
     "Empirical",
     "Scaled",
-    "SelectionPolicy",
     "JointTransmittanceDistribution",
     "Product",
     "PerfectlyCorrelated",
     "AdaptiveCorrelated",
     "adaptive_correlate",
-    "sample",
 ]
 
 
@@ -521,32 +519,6 @@ class Scaled(TransmittanceDistribution):
         return (lo * self.factor, hi * self.factor)
 
 
-@dataclass(frozen=True)
-class SelectionPolicy:
-    """Threshold selection on a monitored transmittance.
-
-    kind records whether the selection is made before the quantum signal is
-    sent ("preselection") or on records after detection ("postselection");
-    the induced conditional law is the same restriction either way.
-    """
-
-    threshold: float
-    kind: str = "postselection"
-
-    def __post_init__(self):
-        _check_unit_interval("threshold", self.threshold, open_right=True)
-        if self.kind not in ("preselection", "postselection"):
-            raise ValueError(f"unknown selection kind {self.kind!r}")
-
-    def apply(self, dist: TransmittanceDistribution) -> TransmittanceDistribution:
-        return dist.truncate(self.threshold)
-
-
-def sample(dist: TransmittanceDistribution, n: int, rng: RandomSource) -> np.ndarray:
-    """Module-level alias for ``dist.sample(n, rng)``."""
-    return dist.sample(n, rng)
-
-
 # ---------------------------------------------------------------------------
 # two-mode joint laws
 # ---------------------------------------------------------------------------
@@ -578,7 +550,7 @@ class JointTransmittanceDistribution:
 
 
 def _average_product(da, db, f, spec):
-    """<f>: exact sums over atoms where possible, else tensor quadrature."""
+    """<f>: exact sums over atoms where possible, else iterated quadrature."""
     atoms_a, atoms_b = da.atoms, db.atoms
     if atoms_a is not None:
         pieces = [
@@ -590,7 +562,7 @@ def _average_product(da, db, f, spec):
             total = total + p
         return total if getattr(total, "ndim", 0) else float(total)
     if atoms_b is not None:
-        return _average_product_swapped(da, db, f, spec)
+        return _average_product(db, da, lambda y, x: f(x, y), spec)
     (lo_a, hi_a), (lo_b, hi_b) = da.support, db.support
 
     def integrand(x, y):
@@ -599,17 +571,6 @@ def _average_product(da, db, f, spec):
         return values * w.reshape(w.shape + (1,) * (values.ndim - 2))
 
     return integrate2(integrand, lo_a, hi_a, lo_b, hi_b, spec)
-
-
-def _average_product_swapped(da, db, f, spec):
-    pieces = [
-        w * np.asarray(da.expectation(lambda x, e=e: f(x, e), spec))
-        for e, w in db.atoms
-    ]
-    total = pieces[0]
-    for p in pieces[1:]:
-        total = total + p
-    return total if getattr(total, "ndim", 0) else float(total)
 
 
 @dataclass(frozen=True)

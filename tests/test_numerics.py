@@ -107,6 +107,21 @@ def test_integrate2_vector_components():
     assert vec[1] == pytest.approx(0.5 * (0.75**3 - 0.25**3) / 3.0, rel=1e-11)
 
 
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda x, y: np.sqrt(np.abs(x - 1.0 / math.pi)) + 0.0 * y,
+        lambda x, y: np.sqrt(np.abs(y - 1.0 / math.pi)) + 0.0 * x,
+    ],
+    ids=["cusp-in-x", "cusp-in-y"],
+)
+def test_integrate2_unreachable_tolerance_raises(f):
+    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15, max_depth=3)
+    with pytest.raises(QuadratureAccuracyError) as err:
+        integrate2(f, 0.0, 1.0, 0.0, 1.0, spec)
+    assert err.value.error_bound > 0.0
+
+
 def test_integrate_handles_interior_cusps():
     f = lambda x: np.sqrt(np.abs(np.sin(13.0 * x)))
     expected, _ = sp_integrate.quad(

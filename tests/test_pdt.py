@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate as sp_integrate
 
+from turbulight.bell import BellSettings, bell_parameter
 from turbulight.numerics import RandomSource
 from turbulight.pdt import (
     AdaptiveCorrelated,
@@ -19,11 +20,10 @@ from turbulight.pdt import (
     PerfectlyCorrelated,
     Product,
     Scaled,
-    SelectionPolicy,
     TruncatedLogNormal,
     adaptive_correlate,
-    sample,
 )
+from turbulight.photocount import DetectorModel
 
 betas = st.tuples(
     st.floats(0.3, 5.0), st.floats(0.3, 5.0), st.floats(0.0, 0.6)
@@ -193,15 +193,6 @@ def test_truncation_raises_conditional_mean(dist, threshold):
     assert dist.truncate(threshold).mean() >= dist.mean() - 1e-12
 
 
-def test_selection_policy_is_truncation():
-    dist = Beta(2.0, 5.0)
-    policy = SelectionPolicy(threshold=0.3, kind="preselection")
-    cut = policy.apply(dist)
-    assert cut.moment(1.0) == pytest.approx(dist.truncate(0.3).moment(1.0))
-    with pytest.raises(ValueError):
-        SelectionPolicy(threshold=0.3, kind="discard")
-
-
 @pytest.mark.parametrize(
     "dist",
     [
@@ -214,8 +205,8 @@ def test_selection_policy_is_truncation():
 def test_sampling_matches_mean_and_is_reproducible(dist):
     rng = RandomSource(seed=123)
     n = 200_000
-    draws = sample(dist, n, rng)
-    again = sample(dist, n, RandomSource(seed=123))
+    draws = dist.sample(n, rng)
+    again = dist.sample(n, RandomSource(seed=123))
     np.testing.assert_array_equal(draws, again)
     lo, hi = dist.support
     assert draws.min() >= lo - 1e-12 and draws.max() <= hi + 1e-12
@@ -277,6 +268,28 @@ def test_product_average_continuous_matches_factorization():
     assert value == pytest.approx(
         joint.a.moment(0.5) * joint.b.moment(1.0), rel=1e-9
     )
+
+
+def test_product_average_resolves_beta_edge_cusp():
+    # Beta(1.3, .) has an x**0.3 cusp at 0 on one axis only; refining both
+    # axes together made this average and the Bell value take minutes.
+    p, q, r, s = 1.3, 4.0, 5.0, 5.0
+    joint = Product(Beta(p, q), Beta(r, s))
+    value = joint.average(lambda x, y: 1.0 / (1.0 + x + y))
+
+    def beta_pdf(x, a, b):
+        return x ** (a - 1.0) * (1.0 - x) ** (b - 1.0) / math.exp(
+            math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        )
+
+    expected, _ = sp_integrate.dblquad(
+        lambda y, x: beta_pdf(x, p, q) * beta_pdf(y, r, s) / (1.0 + x + y),
+        0.0, 1.0, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13,
+    )
+    assert expected == pytest.approx(0.58280074916, rel=1e-10)
+    assert value == pytest.approx(expected, rel=1e-9)
+    chsh = bell_parameter(BellSettings(0.2, DetectorModel(0.9, 1e-3), joint))
+    assert math.isfinite(chsh) and 2.0 < chsh < 2.0 * math.sqrt(2.0)
 
 
 def test_adaptive_min_law_exact_on_atoms():
