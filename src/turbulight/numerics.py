@@ -14,13 +14,16 @@ Gauss-Kronrod pair; two-mode averages are iterated 1D integrals
 * all 15 nodes are interior points of the panel.  The rule never touches
   panel endpoints, so integrable endpoint singularities (for instance the
   log-normal density at eta -> 0+) are integrated without special casing;
-* the panel with the worst error estimate is bisected first, until the
-  summed error bound of all panels meets the requested tolerance (global
-  error control; a width-proportional local budget would never terminate
-  on integrable cusps, whose panel error shrinks slower than the panel).
-  Heap ties break on insertion order and the final accumulation runs in
-  panel-position order, so results are bit-for-bit reproducible run to
-  run and machine to machine (no parallel reduction, no hashing).
+* panels are refined until the summed error bound of all panels meets
+  the requested tolerance (global error control; a width-proportional
+  local budget would never terminate on integrable cusps, whose panel
+  error shrinks slower than the panel).  Refinement goes level by level:
+  each step sorts the panels by error, worst first, bisects the fewest of
+  them whose errors cover the excess over the tolerance, and evaluates
+  all their children in one call of the integrand, so the Python cost is
+  per level, not per panel.  The sort is stable and the final
+  accumulation runs in panel-position order, so results are bit-for-bit
+  reproducible run to run (no parallel reduction, no hashing).
 
 Integrands may be scalar valued or vector valued (return an array for an
 array of abscissas); vector integrands share one panel subdivision with the
@@ -41,7 +44,6 @@ which is what the Monte Carlo cross-checks in the test suite rely on.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +101,7 @@ def _build_rule():
 
 
 _NODES, _WK, _WG = _build_rule()
+_KG = np.stack([_WK, _WK - _WG])
 
 
 class QuadratureAccuracyError(RuntimeError):
@@ -145,21 +148,24 @@ class QuadratureSpec:
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
-def _panel_1d(f, a, b):
-    """K15 and |K15 - G7| on a single panel [a, b]."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = mid + half * _NODES
+def _panels_1d(f, lo, hi):
+    """K15 values and max-norm |K15 - G7| errors of the panels [lo, hi].
+
+    The nodes of all panels go to ``f`` in one call, panel after panel.
+    """
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    x = (mid[:, None] + half[:, None] * _NODES).reshape(-1)
     fx = np.asarray(f(x))
-    if fx.shape[:1] != (15,):
+    if fx.shape[:1] != x.shape:
         raise ValueError(
             "integrand must be vectorized: f(x) must return an array whose "
             "leading axis matches x"
         )
-    k = half * np.tensordot(_WK, fx, axes=(0, 0))
-    g = half * np.tensordot(_WG, fx, axes=(0, 0))
-    err = float(np.max(np.abs(k - g)))
-    return k, err
+    # Row 0 of _KG gives K15, row 1 gives K15 - G7, per panel and component.
+    kg = (_KG @ fx.reshape(lo.size, 15, -1)) * half[:, None, None]
+    err = np.abs(kg[:, 1]).max(axis=1)
+    return kg[:, 0].reshape(lo.shape + fx.shape[1:]), err
 
 
 def integrate(f, a, b, spec=DEFAULT_QUADRATURE):
@@ -169,7 +175,8 @@ def integrate(f, a, b, spec=DEFAULT_QUADRATURE):
     ----------
     f : callable
         Maps an ndarray of abscissas of shape (n,) to an ndarray of values
-        of shape (n,) or (n, m) for vector integrands.
+        of shape (n,) or (n, m) for vector integrands.  One call may carry
+        the nodes of many panels, so n is any multiple of 15.
     a, b : float
         Integration limits, a <= b.  Endpoints are never evaluated.
     spec : QuadratureSpec
@@ -193,47 +200,49 @@ def integrate(f, a, b, spec=DEFAULT_QUADRATURE):
     if a == b:
         return 0.0
 
-    whole, whole_err = _panel_1d(f, a, b)
-    scale = max(float(np.max(np.abs(whole))), 1e-300)
+    lo = np.array([float(a)])
+    hi = np.array([float(b)])
+    depth = np.zeros(1, dtype=int)
+    val, err = _panels_1d(f, lo, hi)
+    scale = max(float(np.max(np.abs(val[0]))), 1e-300)
     tol = max(spec.abs_tol, spec.rel_tol * scale)
-    width = b - a
+    min_width = 1e-16 * (b - a)
 
-    # Worst panel first (max-heap via negated error).  The insertion
-    # counter breaks ties, making the refinement sequence -- and with the
-    # position-ordered summation below, the result -- fully deterministic.
-    heap = [(-whole_err, 0, a, b, 0, whole)]
-    counter = 1
-    frozen = []  # panels that may not be split further
-    err_total = whole_err
     exhausted = False
+    err_total = float(np.sum(err))
     while err_total > tol:
-        if not heap:
+        splittable = (depth < spec.max_depth) & (hi - lo > min_width)
+        # A single unsplittable panel over the whole budget cannot be
+        # rescued by work elsewhere.
+        if not splittable.any() or np.any(err[~splittable] > tol):
             exhausted = True
             break
-        neg_err, _, lo, hi, depth, val = heapq.heappop(heap)
-        err = -neg_err
-        if depth >= spec.max_depth or (hi - lo) <= 1e-16 * width:
-            if err > tol:
-                # The single worst panel already exceeds the whole budget;
-                # no amount of work elsewhere can rescue the run.
-                frozen.append((lo, hi, val))
-                exhausted = True
-                break
-            frozen.append((lo, hi, val))
-            continue
-        mid = 0.5 * (lo + hi)
-        lval, lerr = _panel_1d(f, lo, mid)
-        rval, rerr = _panel_1d(f, mid, hi)
-        heapq.heappush(heap, (-lerr, counter, lo, mid, depth + 1, lval))
-        heapq.heappush(heap, (-rerr, counter + 1, mid, hi, depth + 1, rval))
-        counter += 2
-        err_total += lerr + rerr - err
+        # Worst first, in one batch: split the fewest panels whose error,
+        # were it removed, would bring the total within tolerance.
+        cand = np.flatnonzero(splittable)
+        cand = cand[np.argsort(-err[cand], kind="stable")]
+        need = np.searchsorted(np.cumsum(err[cand]), err_total - tol)
+        split = cand[: need + 1]
+        start, end = lo[split], hi[split]
+        mid = 0.5 * (start + end)
+        n = split.size
+        new_val, new_err = _panels_1d(
+            f, np.concatenate([start, mid]), np.concatenate([mid, end])
+        )
+        # The left child takes its parent's slot; the right one is appended.
+        hi[split] = mid
+        depth[split] += 1
+        val[split] = new_val[:n]
+        err[split] = new_err[:n]
+        lo = np.concatenate([lo, mid])
+        hi = np.concatenate([hi, end])
+        depth = np.concatenate([depth, depth[split]])
+        val = np.concatenate([val, new_val[n:]])
+        err = np.concatenate([err, new_err[n:]])
+        err_total = float(np.sum(err))
 
-    panels = frozen + [(lo, hi, val) for _, _, lo, hi, _, val in heap]
-    panels.sort(key=lambda p: (p[0], p[1]))
-    total = np.zeros_like(np.asarray(whole, dtype=np.result_type(whole, 1.0)))
-    for _, _, val in panels:
-        total = total + val
+    # Summing in panel-position order fixes the order of the additions.
+    total = val[np.argsort(lo, kind="stable")].sum(axis=0)
     result = total if total.ndim else float(total)
     if exhausted:
         raise QuadratureAccuracyError(

@@ -233,10 +233,12 @@ class Empirical(TransmittanceDistribution):
     def survival(self, eta, include_equal=False):
         eta_arr = np.asarray(eta, dtype=float)
         flat = eta_arr.reshape(-1)
-        e = np.asarray(self.etas)
+        # The etas are sorted, so P(X > eta) is the weight from the first
+        # bin above eta onward ("left" to include a bin at eta itself).
         w = np.asarray(self.weights)
-        cmp = e[None, :] >= flat[:, None] if include_equal else e[None, :] > flat[:, None]
-        out = np.sum(cmp * w[None, :], axis=1)
+        tail = np.append(np.cumsum(w[::-1])[::-1], 0.0)
+        side = "left" if include_equal else "right"
+        out = tail[np.searchsorted(np.asarray(self.etas), flat, side=side)]
         if eta_arr.ndim == 0:
             return float(out[0])
         return out.reshape(eta_arr.shape)

@@ -173,8 +173,8 @@ def squeezed_vacuum(squeezing, angle=0.0, mean=0.0) -> SingleModeGaussian:
     reduced variance (e^{-2 squeezing} - 1)/2 below (normally ordered
     convention) while x(angle + pi/2) is anti-squeezed.
     """
-    if squeezing < 0.0:
-        raise ValueError("squeezing magnitude must be nonnegative")
+    if not (math.isfinite(squeezing) and squeezing >= 0.0):
+        raise ValueError("squeezing magnitude must be finite and nonnegative")
     sh, ch = math.sinh(squeezing), math.cosh(squeezing)
     return SingleModeGaussian(
         mean=complex(mean),
@@ -202,7 +202,7 @@ def squeezed_vacuum_db(db, angle=0.0, mean=0.0) -> SingleModeGaussian:
     db < 0 means noise below vacuum; db = -3 gives roughly half the vacuum
     variance.
     """
-    if db > 0.0:
+    if not db <= 0.0:
         raise ValueError("a pure squeezed vacuum has a nonpositive squeezed-quadrature level")
     squeezing = -0.5 * math.log(10.0 ** (db / 10.0))
     return squeezed_vacuum(squeezing, angle=angle, mean=mean)
@@ -217,8 +217,8 @@ def tmsv(squeezing, mean_a=0.0, mean_b=0.0) -> TwoModeMoments:
     <Delta a Delta b> = sinh * cosh and vanishing single-mode anomalous
     and exchange correlators.
     """
-    if squeezing < 0.0:
-        raise ValueError("squeezing magnitude must be nonnegative")
+    if not (math.isfinite(squeezing) and squeezing >= 0.0):
+        raise ValueError("squeezing magnitude must be finite and nonnegative")
     sh, ch = math.sinh(squeezing), math.cosh(squeezing)
     return TwoModeMoments(
         mean_a=complex(mean_a),

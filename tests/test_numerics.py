@@ -131,6 +131,33 @@ def test_integrate_handles_interior_cusps():
     assert integrate(f, 0.0, 2.0) == pytest.approx(expected, rel=1e-8)
 
 
+def test_refinement_is_batched_into_few_integrand_calls():
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.sqrt(np.abs(np.sin(13.0 * x)))
+
+    integrate(f, 0.0, 2.0)
+    # One call per refinement level, not two per bisected panel.
+    assert len(calls) <= 40
+    assert all(n % 15 == 0 for n in calls)
+
+
+def test_wide_vector_integrand_matches_closed_form():
+    freqs = np.linspace(0.1, 30.0, 300)
+    vec = integrate(lambda x: np.sin(np.outer(x, freqs)), 0.0, 2.0)
+    assert vec.shape == (300,)
+    np.testing.assert_allclose(vec, (1.0 - np.cos(2.0 * freqs)) / freqs, rtol=1e-10)
+
+
+def test_integrate2_diagonal_cusp():
+    # The cusp of the inner integrand moves with the outer variable, so the
+    # inner refinement of a batch of outer nodes is the union of theirs.
+    value = integrate2(lambda x, y: np.sqrt(np.abs(x - y)), 0.0, 1.0, 0.0, 1.0)
+    assert value == pytest.approx(8.0 / 15.0, rel=1e-8)
+
+
 def test_integrate_is_deterministic():
     f = lambda x: np.sqrt(np.abs(np.sin(13.0 * x)))
     assert integrate(f, 0.0, 2.0) == integrate(f, 0.0, 2.0)

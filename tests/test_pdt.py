@@ -143,6 +143,29 @@ def test_empirical_renormalizes_and_sorts():
     assert e.weights == (0.25, 0.75)
 
 
+@pytest.mark.parametrize("include_equal", [False, True])
+def test_empirical_survival_matches_brute_force_sum(include_equal):
+    rng = np.random.default_rng(5)
+    # Few distinct etas, so many bins tie; some weights are zero.
+    etas = rng.choice(np.linspace(0.0, 1.0, 9), size=40)
+    weights = rng.choice([0.0, 0.5, 1.0, 3.0], size=40)
+    e = Empirical(tuple(etas), tuple(weights))
+    # Probes on every atom, between atoms and beyond both ends.
+    probe = np.concatenate([
+        np.asarray(e.etas), rng.uniform(-0.1, 1.1, 50), [-1.0, 0.0, 1.0, 2.0],
+    ]).reshape(2, -1)
+    atoms = np.asarray(e.etas)
+    w = np.asarray(e.weights)
+    above = atoms >= probe[..., None] if include_equal else atoms > probe[..., None]
+    expected = np.sum(above * w, axis=-1)
+    got = e.survival(probe, include_equal=include_equal)
+    assert got.shape == probe.shape
+    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-15)
+    assert e.survival(float(atoms[3]), include_equal=include_equal) == (
+        pytest.approx(float(expected.reshape(-1)[3]), rel=1e-13, abs=1e-15)
+    )
+
+
 def test_empirical_truncation_and_empty():
     e = Empirical((0.2, 0.5, 0.9), (0.25, 0.5, 0.25))
     kept = e.truncate(0.4)

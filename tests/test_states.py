@@ -96,6 +96,23 @@ def test_negative_squeezing_rejected():
         tmsv(-0.2)
 
 
+@pytest.mark.parametrize(
+    "make, value",
+    [
+        (squeezed_vacuum, math.nan),
+        (squeezed_vacuum, math.inf),
+        (squeezed_vacuum_db, math.nan),
+        (squeezed_vacuum_db, -math.inf),
+        (tmsv, math.nan),
+        (tmsv, math.inf),
+    ],
+    ids=["sv-nan", "sv-inf", "db-nan", "db-minus-inf", "tmsv-nan", "tmsv-inf"],
+)
+def test_non_finite_squeezing_rejected(make, value):
+    with pytest.raises(ValueError):
+        make(value)
+
+
 def test_mean_photons():
     assert squeezed_vacuum(0.7, mean=1.0 - 2.0j).mean_photons() == pytest.approx(
         math.sinh(0.7) ** 2 + 5.0, rel=1e-14
