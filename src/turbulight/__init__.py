@@ -51,7 +51,6 @@ from .photocount import (
     count_distribution_coherent,
     count_distribution_fock,
     mandel_out,
-    mandel_q,
     povm_qsymbol,
     sub_poisson_bound,
 )
@@ -129,7 +128,6 @@ __all__ = [
     "count_distribution_coherent",
     "count_distribution_fock",
     "mandel_out",
-    "mandel_q",
     "povm_qsymbol",
     "sub_poisson_bound",
     # Bell test

@@ -386,10 +386,19 @@ class TruncatedLogNormal(TransmittanceDistribution):
         # Untruncated log-normal CDF, elementwise, eta > 0 assumed.
         return special.ndtr(self._z(eta))
 
+    def _log_mass(self, shift=0.0):
+        """log[Phi(-mu/s - shift) - Phi((ln lo - mu)/s - shift)]; -inf if empty."""
+        log_upper = float(special.log_ndtr(-self.mu / self.sigma - shift))
+        if self.lo <= 0.0:
+            return log_upper
+        z_lo = (math.log(self.lo) - self.mu) / self.sigma
+        log_lower = float(special.log_ndtr(z_lo - shift))
+        if log_lower >= log_upper:
+            return -math.inf
+        return log_upper + math.log1p(-math.exp(log_lower - log_upper))
+
     def _mass(self):
-        upper = float(special.ndtr(-self.mu / self.sigma))
-        lower = float(self._cdf_plain(self.lo)) if self.lo > 0.0 else 0.0
-        mass = upper - lower
+        mass = math.exp(self._log_mass())
         if mass <= 0.0:
             raise ValueError(
                 "log-normal parameters leave no probability mass in [lo, 1]"
@@ -400,14 +409,11 @@ class TruncatedLogNormal(TransmittanceDistribution):
         if k == 0:
             return 1.0
         # E[x^k; a <= x <= 1] = exp(k mu + k^2 s^2 / 2)
-        #                       * [Phi(-mu/s - k s) - Phi((ln a - mu)/s - k s)]
-        shift = k * self.sigma
-        upper = special.ndtr(-self.mu / self.sigma - shift)
-        lower = special.ndtr(self._z(self.lo) - shift) if self.lo > 0.0 else 0.0
-        return float(
-            math.exp(k * self.mu + 0.5 * k * k * self.sigma**2)
-            * (upper - lower)
-            / self._mass()
+        #                       * [Phi(-mu/s - k s) - Phi((ln a - mu)/s - k s)],
+        # in log space: the prefactor alone overflows once k s >~ 37.
+        return math.exp(
+            k * self.mu + 0.5 * k * k * self.sigma**2
+            + self._log_mass(k * self.sigma) - math.log(self._mass())
         )
 
     def density(self, eta):

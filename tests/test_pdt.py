@@ -130,6 +130,25 @@ def test_lognormal_negative_moment_closed_form():
     assert dist.moment(-2.0) == pytest.approx(quad_moment(dist, -2.0), rel=1e-7)
 
 
+@pytest.mark.parametrize("lo", [0.0, 1e-3])
+@pytest.mark.parametrize("k", [1.0, 2.0])
+@pytest.mark.parametrize("sigma", [20.0, 40.0])
+def test_lognormal_moment_wide_law_against_mpmath(sigma, k, lo):
+    # exp(k mu + k^2 sigma^2 / 2) alone overflows a double here.
+    mu = -1.0
+    with mp.workdps(40):
+        y_lo = mp.log(lo) if lo > 0.0 else -mp.inf
+
+        def weight(y, power):
+            return mp.exp(power * y - (y - mu) ** 2 / (2 * mp.mpf(sigma) ** 2))
+
+        num = mp.quad(lambda y: weight(y, k), [y_lo, mu, 0])
+        den = mp.quad(lambda y: weight(y, 0), [y_lo, mu, 0])
+        expected = float(num / den)
+    dist = TruncatedLogNormal(mu, sigma, lo)
+    assert dist.moment(k) == pytest.approx(expected, rel=1e-11)
+
+
 def test_empirical_is_exact_weighted_sum():
     e = Empirical((0.2, 0.8), (1.0, 1.0))
     assert e.mean() == pytest.approx(0.5, abs=1e-15)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate as sp_integrate
+from scipy import stats
 
 from oracles import (
     batch_statistic,
@@ -19,7 +21,6 @@ from turbulight.photocount import (
     count_distribution_coherent,
     count_distribution_fock,
     mandel_out,
-    mandel_q,
     povm_qsymbol,
     sub_poisson_bound,
 )
@@ -40,6 +41,16 @@ def test_povm_is_shifted_poisson():
         povm_qsymbol(-1, 1.0, det)
     with pytest.raises(ValueError):
         povm_qsymbol(1, -0.5, det)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_intensity_rejected(bad):
+    det = DetectorModel(efficiency=0.7, noise_counts=0.3)
+    with pytest.raises(ValueError, match="finite"):
+        povm_qsymbol(0, bad, det)
+    for alpha in (bad, complex(1.0, bad), 1e200):
+        with pytest.raises(ValueError, match="finite"):
+            count_distribution_coherent(alpha, Beta(2.0, 2.0), det)
 
 
 def test_detector_model_validation():
@@ -110,7 +121,7 @@ def test_coherent_through_constant_channel_is_poisson():
         for n in range(len(counts))
     ]
     np.testing.assert_allclose(counts.probabilities, expected, rtol=1e-11)
-    assert abs(mandel_q(counts)) < 1e-8  # Poisson stays Poissonian
+    assert abs(counts.mandel_q()) < 1e-8  # Poisson stays Poissonian
 
 
 def test_closed_mandel_matches_count_route_fock():
@@ -121,7 +132,7 @@ def test_closed_mandel_matches_count_route_fock():
     det = DetectorModel(efficiency=0.8, noise_counts=0.2)
     for dist in (Dirac(0.7), Beta(2.0, 2.0), Empirical((0.2, 0.9), (1.0, 1.0))):
         closed = mandel_out(q_in, n_in, dist, det)
-        direct = mandel_q(count_distribution_fock(p_in, dist, det))
+        direct = count_distribution_fock(p_in, dist, det).mandel_q()
         assert closed == pytest.approx(direct, rel=1e-8, abs=1e-10)
 
 
@@ -130,7 +141,7 @@ def test_closed_mandel_matches_count_route_coherent():
     det = DetectorModel(efficiency=0.7, noise_counts=0.15)
     dist = TruncatedLogNormal(-0.8, 0.6)
     closed = mandel_out(0.0, alpha**2, dist, det)
-    direct = mandel_q(count_distribution_coherent(alpha, dist, det))
+    direct = count_distribution_coherent(alpha, dist, det).mandel_q()
     assert closed == pytest.approx(direct, rel=1e-8)
 
 
@@ -145,7 +156,7 @@ def test_closed_mandel_matches_thermal_input():
     det = DetectorModel(efficiency=0.85, noise_counts=0.1)
     dist = Beta(3.0, 1.5)
     closed = mandel_out(q_in, n_in, dist, det)
-    direct = mandel_q(count_distribution_fock(p_in, dist, det))
+    direct = count_distribution_fock(p_in, dist, det).mandel_q()
     assert closed == pytest.approx(direct, rel=1e-8)
     assert closed > 0.0  # super-Poissonian stays super-Poissonian
 
@@ -215,3 +226,80 @@ def test_detector_efficiency_commutes_with_channel():
     a = count_distribution_fock(p_in, Dirac(0.5), det)
     b = count_distribution_fock(p_in, Dirac(0.3), folded)
     np.testing.assert_allclose(a.probabilities, b.probabilities, atol=1e-13)
+
+
+def _thinned_with_noise(p_in, s, noise, n_max):
+    """Binomial thinning at survival s convolved with Poisson noise (scipy)."""
+    thinned = np.zeros(len(p_in))
+    for m in np.flatnonzero(p_in):
+        thinned[: m + 1] += p_in[m] * stats.binom.pmf(np.arange(m + 1), m, s)
+    noise_pmf = stats.poisson.pmf(np.arange(n_max + 1), noise)
+    return np.convolve(thinned, noise_pmf)[: n_max + 1]
+
+
+@pytest.mark.parametrize("m", [120, 300])
+def test_large_fock_counts_on_atoms_match_scipy(m):
+    det = DetectorModel(efficiency=0.9, noise_counts=0.7)
+    law = Empirical((0.05, 0.4, 0.75, 1.0), (1.0, 2.0, 3.0, 0.5))
+    p_in = np.zeros(m + 1)
+    p_in[m] = 0.6
+    p_in[m // 3] = 0.4
+    counts = count_distribution_fock(p_in, law, det).probabilities
+    expected = sum(
+        w * _thinned_with_noise(p_in, det.efficiency * eta, det.noise_counts,
+                                counts.size - 1)
+        for eta, w in zip(law.etas, law.weights)
+    )
+    np.testing.assert_allclose(counts, expected, rtol=0.0, atol=1e-12)
+
+
+def test_large_fock_counts_on_beta_match_per_count_quad():
+    m, eff = 120, 0.9
+    det = DetectorModel(efficiency=eff)
+    p_in = np.zeros(m + 1)
+    p_in[m] = 1.0
+    counts = count_distribution_fock(p_in, Beta(2.0, 3.0), det).probabilities
+    assert counts.size == m + 1
+    density = stats.beta(2.0, 3.0).pdf
+    expected = [
+        sp_integrate.quad(lambda eta, n=n: stats.binom.pmf(n, m, eff * eta) * density(eta),
+                          0.0, 1.0, epsabs=1e-13, epsrel=1e-10, limit=200)[0]
+        for n in range(m + 1)
+    ]
+    np.testing.assert_allclose(counts, expected, rtol=0.0, atol=1e-10)
+
+
+def test_fock_counts_at_full_and_zero_transmission_are_exact():
+    det = DetectorModel(efficiency=1.0, noise_counts=0.3)
+    p_in = np.array([0.1, 0.0, 0.25, 0.4, 0.25])
+    full = count_distribution_fock(p_in, Dirac(1.0), det).probabilities
+    noise = stats.poisson.pmf(np.arange(full.size), 0.3)
+    np.testing.assert_allclose(full, np.convolve(p_in, noise)[: full.size],
+                               rtol=0.0, atol=1e-15)
+    dark = count_distribution_fock(p_in, Dirac(0.0), det).probabilities
+    np.testing.assert_allclose(dark, noise, rtol=0.0, atol=1e-15)
+
+
+def test_dense_thermal_input_against_event_simulation():
+    n_bar, m = 2.0, 120
+    k = np.arange(m + 1)
+    p_in = (n_bar / (1.0 + n_bar)) ** k / (1.0 + n_bar)
+    p_in /= p_in.sum()
+    det = DetectorModel(efficiency=0.85, noise_counts=0.2)
+    dist = TruncatedLogNormal(-0.7, 0.5)
+    predicted = count_distribution_fock(p_in, dist, det)
+    assert predicted.probabilities.sum() == pytest.approx(1.0, abs=1e-10)
+
+    etas = dist.sample(1_000_000, RandomSource(seed=2468))
+    rng = np.random.default_rng(13)
+    counts = mc_photocounts_fock(p_in, etas, det.efficiency,
+                                 det.noise_counts, rng)
+    mean_est, mean_se = batch_statistic(counts.astype(float),
+                                        lambda c: float(c.mean()))
+    assert abs(predicted.mean() - mean_est) < 4.0 * mean_se
+    q_est, q_se = mandel_from_samples(counts)
+    assert abs(predicted.mandel_q() - q_est) < 4.0 * q_se
+    for n in (0, 1, 2, 5):
+        p_est, p_se = batch_statistic(counts.astype(float),
+                                      lambda c, n=n: float(np.mean(c == n)))
+        assert abs(predicted.probabilities[n] - p_est) < 4.0 * p_se + 1e-9
