@@ -21,7 +21,11 @@ so the same panel subdivision (and for atomic laws the same exact sum)
 feeds every correlation coefficient.  This keeps the zero-squeezing limit
 exact: at squeezing = 0 every component of the integrand is the constant
 1, P_same = P_different for all angles, and the Bell parameter is 0 to
-machine precision.
+machine precision.  The analyzer angles enter C_same and C_different only
+through sin^2 and cos^2 of the angle difference, so the integrand carries
+one component per distinct value of those factors (3 for the default
+CHSH angles) plus three angle-free ones, and each angle pair reads its two
+averages from that set.
 
 C_0 has the closed lower bound [(1-t)(1-t(1-u_min))]^2 over the support
 (u = x + y - x*y is monotone in both transmittances), so the integrand is
@@ -108,11 +112,14 @@ def _pair_terms(x, y, t):
     return c0, c1a, c1b, common, joint_vac
 
 
-def _angle_terms(common, joint_vac, delta):
-    """(C_same, C_different) at analyzer-angle difference delta."""
-    same = common * (joint_vac - math.sin(delta) ** 2)
-    different = common * (joint_vac - math.cos(delta) ** 2)
-    return same, different
+def _angle_factors(delta):
+    """(sin^2 delta, cos^2 delta): all C_same / C_different see of the angles."""
+    return math.sin(delta) ** 2, math.cos(delta) ** 2
+
+
+def _angle_term(common, joint_vac, factor):
+    """C_same (factor sin^2 delta) or C_different (factor cos^2 delta)."""
+    return common * (joint_vac - factor)
 
 
 def c_terms(eta_a, eta_b, efficiency, squeezing, theta_a, theta_b) -> CTerms:
@@ -120,7 +127,9 @@ def c_terms(eta_a, eta_b, efficiency, squeezing, theta_a, theta_b) -> CTerms:
     x = efficiency * np.asarray(eta_a, dtype=float)
     y = efficiency * np.asarray(eta_b, dtype=float)
     c0, c1a, c1b, common, joint_vac = _pair_terms(x, y, _tanh2(squeezing))
-    same, different = _angle_terms(common, joint_vac, theta_a - theta_b)
+    sin2, cos2 = _angle_factors(theta_a - theta_b)
+    same = _angle_term(common, joint_vac, sin2)
+    different = _angle_term(common, joint_vac, cos2)
     if np.ndim(eta_a) == 0 and np.ndim(eta_b) == 0:
         return CTerms(float(c0), float(c1a), float(c1b), float(same), float(different))
     return CTerms(c0, c1a, c1b, same, different)
@@ -155,11 +164,26 @@ def _reciprocal_averages(settings, angle_pairs, spec):
     Returns (per_pair, a2, a3, a4) where per_pair[k] = (<1/(D + C_same)>,
     <1/(D + C_different)>) for angle pair k, D = C_0 + C_1A + C_1B,
     a2 = <C_0/(C_0+C_1A)^2>, a3 likewise for B, a4 = <1/C_0>.
+
+    The angles enter only through the factors sin^2 delta (C_same) and
+    cos^2 delta (C_different), so the integrand has one component per
+    distinct factor value (exact float equality) plus the three
+    angle-free ones.  A duplicate component would carry the same values
+    and errors, so dropping it leaves the panel subdivision unchanged.
     """
     _guard_singularity(settings)
     t = _tanh2(settings.squeezing)
     eff = settings.detector.efficiency
-    deltas = [ta - tb for ta, tb in angle_pairs]
+    factors = []
+    index = []  # per angle pair: (component of C_same, component of C_different)
+    for ta, tb in angle_pairs:
+        pair = []
+        for factor in _angle_factors(ta - tb):
+            if factor not in factors:
+                factors.append(factor)
+            pair.append(factors.index(factor))
+        index.append(pair)
+    n = len(factors)
 
     def integrand(eta_a, eta_b):
         x = eff * np.asarray(eta_a, dtype=float)
@@ -167,21 +191,17 @@ def _reciprocal_averages(settings, angle_pairs, spec):
         x, y = np.broadcast_arrays(x, y)
         c0, c1a, c1b, common, joint_vac = _pair_terms(x, y, t)
         d = c0 + c1a + c1b
-        parts = []
-        for delta in deltas:
-            same, different = _angle_terms(common, joint_vac, delta)
-            parts.append(1.0 / (d + same))
-            parts.append(1.0 / (d + different))
-        parts.append(c0 / (c0 + c1a) ** 2)
-        parts.append(c0 / (c0 + c1b) ** 2)
-        parts.append(1.0 / c0)
-        return np.stack(parts, axis=-1)
+        out = np.empty(x.shape + (n + 3,))
+        for k, factor in enumerate(factors):
+            out[..., k] = 1.0 / (d + _angle_term(common, joint_vac, factor))
+        out[..., n] = c0 / (c0 + c1a) ** 2
+        out[..., n + 1] = c0 / (c0 + c1b) ** 2
+        out[..., n + 2] = 1.0 / c0
+        return out
 
     averages = np.asarray(settings.channel.average(integrand, spec), dtype=float)
-    per_pair = [
-        (averages[2 * k], averages[2 * k + 1]) for k in range(len(angle_pairs))
-    ]
-    return per_pair, averages[-3], averages[-2], averages[-1]
+    per_pair = [(averages[i], averages[j]) for i, j in index]
+    return per_pair, averages[n], averages[n + 1], averages[n + 2]
 
 
 def _click_pair(nu, t, a_same, a_diff, a2, a3, a4):
@@ -226,9 +246,11 @@ def _correlation_from_pair(p_same, p_diff):
 def bell_parameter(settings: BellSettings, spec=DEFAULT_QUADRATURE):
     """CHSH combination of the four correlation coefficients.
 
-    All four angle pairs share one adaptive pass (11 integrand
-    components), so their common terms cancel exactly and atomic channels
-    reduce to closed-form sums.
+    All four angle pairs share one adaptive pass, so their common terms
+    cancel exactly and atomic channels reduce to closed-form sums.  The
+    integrand has one component per distinct sin^2 / cos^2 factor of the
+    four angle differences plus three (6 for the default angles, at most
+    11).
     """
     ta1, ta2 = settings.angles_a
     tb1, tb2 = settings.angles_b

@@ -52,6 +52,14 @@ __all__ = [
     "adaptive_correlate",
 ]
 
+# Elements of one (nodes x atoms) block of a Product average with an atomic
+# arm, so temporary memory stays bounded whatever the number of atoms.
+_BLOCK_ELEMENTS = 1 << 16
+# Above this z-score the normal CDF is within 1e-3 of 1, so a difference
+# Phi(b) - Phi(a) of two such CDFs has lost three digits or more; the
+# log-normal law then takes it as Phi(-a) - Phi(-b), which keeps them.
+_UPPER_TAIL_Z = float(-special.ndtri(1e-3))
+
 
 class EmptySelectionError(ValueError):
     """Selection threshold removed (essentially) all probability mass."""
@@ -387,12 +395,22 @@ class TruncatedLogNormal(TransmittanceDistribution):
         return special.ndtr(self._z(eta))
 
     def _log_mass(self, shift=0.0):
-        """log[Phi(-mu/s - shift) - Phi((ln lo - mu)/s - shift)]; -inf if empty."""
-        log_upper = float(special.log_ndtr(-self.mu / self.sigma - shift))
+        """log[Phi(z_hi) - Phi(z_lo)] at z_hi = -mu/s - shift and
+        z_lo = (ln lo - mu)/s - shift; -inf if empty.
+
+        In the upper tail (z_lo > ``_UPPER_TAIL_Z``) both Phi round
+        towards 1, so the same mass is taken as Phi(-z_lo) - Phi(-z_hi).
+        """
+        z_hi = -self.mu / self.sigma - shift
         if self.lo <= 0.0:
-            return log_upper
-        z_lo = (math.log(self.lo) - self.mu) / self.sigma
-        log_lower = float(special.log_ndtr(z_lo - shift))
+            return float(special.log_ndtr(z_hi))
+        z_lo = (math.log(self.lo) - self.mu) / self.sigma - shift
+        if z_lo > _UPPER_TAIL_Z:
+            log_upper = float(special.log_ndtr(-z_lo))
+            log_lower = float(special.log_ndtr(-z_hi))
+        else:
+            log_upper = float(special.log_ndtr(z_hi))
+            log_lower = float(special.log_ndtr(z_lo))
         if log_lower >= log_upper:
             return -math.inf
         return log_upper + math.log1p(-math.exp(log_lower - log_upper))
@@ -430,27 +448,40 @@ class TruncatedLogNormal(TransmittanceDistribution):
     def survival(self, eta, include_equal=False):
         eta = np.asarray(eta, dtype=float)
         lo = max(self.lo, 0.0)
-        upper = float(special.ndtr(-self.mu / self.sigma))
-        safe = np.where(eta > 0.0, eta, 0.5)
-        surv = (upper - special.ndtr(self._z(safe))) / self._mass()
+        z_hi = -self.mu / self.sigma
+        upper = float(special.ndtr(z_hi))
+        z = self._z(np.where(eta > 0.0, eta, 0.5))
+        # P(eta < X <= 1) = Phi(z_hi) - Phi(z); in the upper tail, where
+        # that difference cancels, it is Phi(-z) - Phi(-z_hi).
+        kept = np.asarray(upper - special.ndtr(z))
+        tail = z > _UPPER_TAIL_Z
+        if tail.any():
+            kept[tail] = special.ndtr(-z[tail]) - float(special.ndtr(-z_hi))
+        surv = kept / self._mass()
         out = np.where(eta <= lo, 1.0, np.where(eta >= 1.0, 0.0, surv))
         return out if out.ndim else float(out)
 
     def sample(self, n, rng):
         gen = rng.generator()
         u = gen.random(n)
-        cdf_hi = float(special.ndtr(-self.mu / self.sigma))
+        z_hi = -self.mu / self.sigma
+        z_lo = float(self._z(self.lo)) if self.lo > 0.0 else -math.inf
+        if z_lo > _UPPER_TAIL_Z:
+            # Invert the survival function, whose values keep their digits.
+            sf_lo = float(special.ndtr(-z_lo))
+            sf_hi = float(special.ndtr(-z_hi))
+            return np.exp(self.mu - self.sigma * special.ndtri(sf_lo + u * (sf_hi - sf_lo)))
+        cdf_hi = float(special.ndtr(z_hi))
         cdf_lo = float(self._cdf_plain(self.lo)) if self.lo > 0.0 else 0.0
         return np.exp(self.mu + self.sigma * special.ndtri(cdf_lo + u * (cdf_hi - cdf_lo)))
 
     def truncate(self, threshold):
         _check_unit_interval("threshold", threshold, open_right=True)
-        new_lo = max(self.lo, threshold)
-        upper = float(special.ndtr(-self.mu / self.sigma))
-        lower = float(self._cdf_plain(new_lo)) if new_lo > 0.0 else 0.0
-        if upper - lower <= 0.0:
-            raise EmptySelectionError(threshold, upper - lower)
-        return TruncatedLogNormal(self.mu, self.sigma, new_lo)
+        selected = TruncatedLogNormal(self.mu, self.sigma, max(self.lo, threshold))
+        surviving = math.exp(selected._log_mass())
+        if surviving <= 0.0:
+            raise EmptySelectionError(threshold, surviving)
+        return selected
 
     def scale(self, factor):
         _check_unit_interval("scale factor", factor, open_left=True)
@@ -558,19 +589,41 @@ class JointTransmittanceDistribution:
 
 
 def _average_product(da, db, f, spec):
-    """<f>: exact sums over atoms where possible, else iterated quadrature."""
-    atoms_a, atoms_b = da.atoms, db.atoms
-    if atoms_a is not None:
-        pieces = [
-            w * np.asarray(db.expectation(lambda y, e=e: f(e, y), spec))
-            for e, w in atoms_a
-        ]
-        total = pieces[0]
-        for p in pieces[1:]:
-            total = total + p
-        return total if getattr(total, "ndim", 0) else float(total)
-    if atoms_b is not None:
+    """<f>: an atomic arm summed inside one pass over the other, else 2D.
+
+    With atoms (e_i, w_i) on one arm, <f> = E_y[g(y)] for the atom-weighted
+    g(y) = sum_i w_i f(e_i, y), so the other arm runs one expectation (one
+    adaptive quadrature, or an exact sum if it is atomic too) whatever the
+    number of atoms.  g evaluates f over (nodes x atoms) blocks of at most
+    ``_BLOCK_ELEMENTS`` elements and contracts each with the weights.
+    """
+    atoms_a = da.atoms
+    if atoms_a is None and db.atoms is not None:
         return _average_product(db, da, lambda y, x: f(x, y), spec)
+    if atoms_a is not None:
+        ea = np.array([e for e, _ in atoms_a])
+        wa = np.array([w for _, w in atoms_a])
+        atom_step = min(ea.size, _BLOCK_ELEMENTS)
+        node_step = max(1, _BLOCK_ELEMENTS // atom_step)
+
+        def weighted(y):
+            y = np.asarray(y, dtype=float).reshape(-1, 1)
+            rows = []
+            for n0 in range(0, y.shape[0], node_step):
+                yb = y[n0:n0 + node_step]
+                acc = 0.0
+                for a0 in range(0, ea.size, atom_step):
+                    e = ea[None, a0:a0 + atom_step]
+                    values = np.asarray(f(e, yb))
+                    # A constant f broadcasts to every (node, atom) pair.
+                    values = np.broadcast_to(
+                        values, (yb.shape[0], e.size) + values.shape[2:]
+                    )
+                    acc = acc + np.tensordot(values, wa[a0:a0 + atom_step], (1, 0))
+                rows.append(acc)
+            return np.concatenate(rows)
+
+        return db.expectation(weighted, spec)
     (lo_a, hi_a), (lo_b, hi_b) = da.support, db.support
 
     def integrand(x, y):

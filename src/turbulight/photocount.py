@@ -21,7 +21,10 @@ probability vector as integrand, and collapses to exact sums for atomic
 laws.  One integrand call evaluates every node the integrator hands it
 (15 per panel, all panels of a refinement level) in one vectorized pass;
 the Fock route works in blocks of nodes x occupied input photon numbers
-x counts of bounded size, so a Fock input costs O(m) per node.
+x counts of bounded size, so a Fock input costs O(m) per node.  A count
+vector is cut where the Poisson tail of its largest mean falls below
+1e-12, and may hold at most MAX_COUNTS = 65 536 entries; a longer one
+raises ValueError before anything is allocated.
 
 The Mandel parameter Q = <(Delta n)^2>/<n> - 1 transfers through the
 channel in closed form:
@@ -47,6 +50,7 @@ from .pdt import TransmittanceDistribution
 __all__ = [
     "DetectorModel",
     "PhotonNumberDist",
+    "MAX_COUNTS",
     "povm_qsymbol",
     "count_distribution_fock",
     "count_distribution_coherent",
@@ -62,6 +66,9 @@ _TAIL = 1e-12
 # temporary memory stays bounded whatever the number of quadrature nodes.
 _BLOCK_ELEMENTS = 1 << 14
 _LOG_FLUSH = -700.0
+# Longest count vector (counts 0 .. MAX_COUNTS - 1) a count distribution
+# may have; the integrands hold one such vector per quadrature node.
+MAX_COUNTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -136,15 +143,33 @@ def _poisson_vector(ns, mean):
     return np.exp(ns * math.log(mean) - mean - special.gammaln(ns + 1.0))
 
 
-def _noise_cutoff(mean, tail):
-    """Smallest N with P(Poisson(mean) > N) <= tail."""
-    if mean == 0.0:
-        return 0
-    n = int(mean)
-    # P(X <= n) = Q(n + 1, mean) (regularized upper incomplete gamma).
-    while special.gammaincc(n + 1.0, mean) < 1.0 - tail:
-        n += 1
-    return n
+def _noise_cutoff(mean, tail, offset=0):
+    """offset + the smallest N >= int(mean) with P(Poisson(mean) > N) <= tail.
+
+    Raises ValueError, before anything is allocated, when counts
+    0 .. offset + N would need more than MAX_COUNTS entries.
+    """
+    floor = int(mean)
+    n = floor
+    if mean > 0.0 and offset + floor < MAX_COUNTS:
+        def covered(k):
+            # P(X <= k) = Q(k + 1, mean) (regularized upper incomplete gamma).
+            return special.gammaincc(k + 1.0, mean) >= 1.0 - tail
+
+        # Start at the continuous Poisson quantile, then settle on the exact
+        # test: the same N as a count-by-count walk up from int(mean).
+        n = max(floor, math.ceil(special.pdtrik(1.0 - tail, mean)))
+        while n > floor and covered(n - 1):
+            n -= 1
+        while not covered(n):
+            n += 1
+    if offset + n + 1 > MAX_COUNTS:
+        raise ValueError(
+            f"a mean count of {mean!r} needs counts up to at least "
+            f"{offset + n}, beyond the MAX_COUNTS = {MAX_COUNTS} entries "
+            "a count distribution may hold"
+        )
+    return offset + n
 
 
 def count_distribution_fock(input_probs, dist: TransmittanceDistribution,
@@ -155,7 +180,8 @@ def count_distribution_fock(input_probs, dist: TransmittanceDistribution,
     transmittance eta, each photon survives with probability
     eta_c * eta (binomial thinning) and Poisson noise with mean nu adds on
     top; the conditional vector is then averaged over the transmittance
-    law.  Exact (no quadrature) for atomic laws.
+    law.  Exact (no quadrature) for atomic laws.  Raises ValueError if the
+    counts would need more than MAX_COUNTS entries.
     """
     p_in = np.asarray(input_probs, dtype=float)
     if p_in.ndim != 1 or p_in.size == 0:
@@ -163,7 +189,7 @@ def count_distribution_fock(input_probs, dist: TransmittanceDistribution,
     if np.any(p_in < 0.0) or not math.isclose(float(p_in.sum()), 1.0, abs_tol=1e-9):
         raise ValueError("input probabilities must be nonnegative and sum to 1")
     m_max = p_in.size - 1
-    n_max = m_max + _noise_cutoff(det.noise_counts, _TAIL)
+    n_max = _noise_cutoff(det.noise_counts, _TAIL, offset=m_max)
     noise = _poisson_vector(np.arange(n_max + 1), det.noise_counts)
     # Only occupied input rows contribute; thinning m photons leaves k <= m,
     # so the survived vector stops at the largest occupied m.
@@ -217,7 +243,8 @@ def count_distribution_coherent(alpha, dist: TransmittanceDistribution,
 
     Conditioned on eta the counts are Poissonian with mean
     eta_c * eta * |alpha|^2 + nu; the vector is averaged over the
-    transmittance law.
+    transmittance law.  Raises ValueError if the counts would need more
+    than MAX_COUNTS entries (a largest mean count above about 63 750).
     """
     amplitude = abs(complex(alpha))
     intensity = amplitude * amplitude

@@ -16,8 +16,9 @@ from turbulight.bell import (
     c_terms,
     click_probabilities,
     correlation,
+    _click_pair,
 )
-from turbulight.numerics import RandomSource
+from turbulight.numerics import DEFAULT_QUADRATURE, RandomSource
 from turbulight.pdt import (
     Beta,
     Dirac,
@@ -148,6 +149,72 @@ def test_atomic_channels_average_exactly():
                                rel=1e-11)
     assert pd == pytest.approx(0.25 * parts[0][1] + 0.75 * parts[1][1],
                                rel=1e-11)
+
+
+# A sin^2 factor of the pair (0, B2) equals, as a float, the cos^2 factor
+# of the pair (0, B1); every other factor differs.
+_B1 = 0.3
+_B2 = math.pi / 2.0 - _B1
+ANGLE_SETS = {
+    "default": (DEFAULT_ANGLES_A, DEFAULT_ANGLES_B, 3),
+    "distinct": ((0.0, 0.7), (0.2, 1.1), 8),
+    "sin2_equals_cos2": ((0.0, 0.9), (_B1, _B2), 7),
+}
+
+
+def _exact_chsh(law_a, law_b, efficiency, noise, squeezing, angles_a, angles_b):
+    """CHSH as a finite sum over atom pairs, each angle pair on its own."""
+    ea, wa = np.array([e for e, _ in law_a.atoms]), np.array([w for _, w in law_a.atoms])
+    eb, wb = np.array([e for e, _ in law_b.atoms]), np.array([w for _, w in law_b.atoms])
+    w = wa[:, None] * wb[None, :]
+    t = math.tanh(squeezing) ** 2
+    e = {}
+    for ta in angles_a:
+        for tb in angles_b:
+            c = c_terms(ea[:, None], eb[None, :], efficiency, squeezing, ta, tb)
+            d = c.c0 + c.c1a + c.c1b
+            averages = [np.sum(w * v) for v in (
+                1.0 / (d + c.same), 1.0 / (d + c.different),
+                c.c0 / (c.c0 + c.c1a) ** 2, c.c0 / (c.c0 + c.c1b) ** 2, 1.0 / c.c0,
+            )]
+            p_same, p_diff = _click_pair(noise, t, *averages)
+            e[ta, tb] = (p_same - p_diff) / (p_same + p_diff)
+    (a1, a2), (b1, b2) = angles_a, angles_b
+    return abs(e[a1, b1] - e[a1, b2]) + abs(e[a2, b2] + e[a2, b1])
+
+
+class _WidthSpy(Product):
+    """Product law that records the width of every Bell integrand."""
+
+    widths = []
+
+    def average(self, f, spec=DEFAULT_QUADRATURE):
+        self.widths.append(np.shape(f(np.array([0.5]), np.array([0.5])))[-1])
+        return super().average(f, spec)
+
+
+@pytest.mark.parametrize("angle_set", sorted(ANGLE_SETS))
+@pytest.mark.parametrize("laws", ["histograms", "constants"])
+def test_bell_parameter_matches_per_pair_exact_sum(angle_set, laws):
+    angles_a, angles_b, distinct = ANGLE_SETS[angle_set]
+    if angle_set == "sin2_equals_cos2":
+        assert math.sin(-_B2) ** 2 == math.cos(-_B1) ** 2
+        assert math.cos(-_B2) ** 2 != math.sin(-_B1) ** 2
+    if laws == "histograms":
+        rng = np.random.default_rng(8)
+        law_a = Empirical(tuple(rng.uniform(0.3, 1.0, 9)), tuple(rng.uniform(0.1, 1.0, 9)))
+        law_b = Empirical(tuple(rng.uniform(0.3, 1.0, 6)), tuple(rng.uniform(0.1, 1.0, 6)))
+    else:
+        law_a, law_b = Dirac(0.83), Dirac(0.61)
+    channel = _WidthSpy(law_a, law_b)
+    _WidthSpy.widths.clear()
+    settings = _settings(0.3, channel, efficiency=0.9, noise=2e-3,
+                         angles_a=angles_a, angles_b=angles_b)
+    value = bell_parameter(settings)
+    expected = _exact_chsh(law_a, law_b, 0.9, 2e-3, 0.3, angles_a, angles_b)
+    assert value == pytest.approx(expected, rel=1e-13)
+    # One component per distinct sin^2 / cos^2 factor, plus three.
+    assert _WidthSpy.widths == [distinct + 3]
 
 
 def test_extreme_squeezing_triggers_singularity_guard():

@@ -1,6 +1,7 @@
 """Transmittance laws: closed moments, selection, joint channels."""
 
 import math
+import time
 import warnings
 
 import mpmath as mp
@@ -149,6 +150,79 @@ def test_lognormal_moment_wide_law_against_mpmath(sigma, k, lo):
     assert dist.moment(k) == pytest.approx(expected, rel=1e-11)
 
 
+def mp_lognormal_mass(mu, sigma, a, b):
+    """P(a <= X <= b) for ln X ~ N(mu, sigma^2), at 60 digits."""
+    with mp.workdps(60):
+        z_a = (mp.log(a) - mu) / sigma if a > 0.0 else -mp.inf
+        z_b = (mp.log(b) - mu) / sigma
+        # Complementary CDFs: no cancellation however far up the tail.
+        return mp.ncdf(-z_a) - mp.ncdf(-z_b)
+
+
+def mp_lognormal_moment(mu, sigma, lo, k):
+    """<X**k> of the law conditioned on [lo, 1], by quadrature in ln X."""
+    with mp.workdps(40):
+        y_lo = mp.log(lo) if lo > 0.0 else -mp.inf
+
+        def weight(y, power):
+            return mp.exp(power * y - (y - mu) ** 2 / (2 * mp.mpf(sigma) ** 2))
+
+        points = [y_lo] + ([mu] if y_lo < mu < 0 else []) + [0]
+        return float(mp.quad(lambda y: weight(y, k), points)
+                     / mp.quad(lambda y: weight(y, 0), points))
+
+
+# Upper tail: lo far above the bulk of ln X (both normal CDFs round to 1);
+# lower tail: the bulk far above eta = 1, so all the mass sits in the tail.
+TAIL_LAWS = [(-5.0, 0.3, 0.05), (-5.0, 0.3, 0.12), (-5.0, 0.3, 0.02),
+             (2.0, 0.3, 0.0), (2.0, 0.3, 0.5)]
+
+
+@pytest.mark.parametrize("mu,sigma,lo", TAIL_LAWS)
+def test_lognormal_tail_survival_against_mpmath(mu, sigma, lo):
+    dist = TruncatedLogNormal(mu, sigma, lo)
+    etas = lo + (1.0 - lo) * np.array([1e-3, 0.05, 0.2, 0.5, 0.9])
+    mass = mp_lognormal_mass(mu, sigma, lo, 1.0)
+    expected = [float(mp_lognormal_mass(mu, sigma, e, 1.0) / mass) for e in etas]
+    np.testing.assert_allclose(dist.survival(etas), expected, rtol=1e-11, atol=0.0)
+
+
+def test_lognormal_upper_tail_survival_is_not_zero():
+    value = TruncatedLogNormal(-5.0, 0.3, 0.05).survival(0.1)
+    mass = mp_lognormal_mass(-5.0, 0.3, 0.05, 1.0)
+    expected = float(mp_lognormal_mass(-5.0, 0.3, 0.1, 1.0) / mass)
+    assert expected == pytest.approx(1.03e-8, rel=0.01)
+    assert value == pytest.approx(expected, rel=1e-11)
+
+
+@pytest.mark.parametrize("mu,sigma,lo", TAIL_LAWS)
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+def test_lognormal_tail_moments_against_mpmath(mu, sigma, lo, k):
+    dist = TruncatedLogNormal(mu, sigma, lo)
+    assert dist.moment(k) == pytest.approx(
+        mp_lognormal_moment(mu, sigma, lo, k), rel=1e-11
+    )
+
+
+def test_lognormal_truncation_deep_in_upper_tail():
+    mu, sigma, threshold = -5.0, 0.3, 0.12
+    dist = TruncatedLogNormal(mu, sigma).truncate(threshold)
+    assert dist.lo == threshold
+    assert float(mp_lognormal_mass(mu, sigma, threshold, 1.0)) == pytest.approx(
+        4e-22, rel=0.5
+    )
+    assert dist.mean() == pytest.approx(
+        mp_lognormal_moment(mu, sigma, threshold, 1.0), rel=1e-11
+    )
+    draws = dist.sample(20_000, RandomSource(seed=9))
+    assert threshold <= draws.min() and draws.max() <= 1.0
+    se = draws.std() / math.sqrt(draws.size)
+    assert abs(draws.mean() - dist.mean()) < 4.0 * se
+    # Beyond every representable mass the selection is empty, as before.
+    with pytest.raises(EmptySelectionError):
+        TruncatedLogNormal(-50.0, 0.3).truncate(0.9)
+
+
 def test_empirical_is_exact_weighted_sum():
     e = Empirical((0.2, 0.8), (1.0, 1.0))
     assert e.mean() == pytest.approx(0.5, abs=1e-15)
@@ -294,14 +368,68 @@ def test_correlated_t_moment_depends_on_total_order():
 
 
 def test_product_average_mixes_atoms_and_density():
-    e = Empirical((0.25, 0.75), (1.0, 3.0))
-    b = Beta(2.0, 2.0)
-    f = lambda x, y: x * y * y
-    expected = e.moment(1.0) * b.moment(2.0)
-    assert Product(e, b).average(f) == pytest.approx(expected, rel=1e-10)
-    assert Product(b, e).average(lambda x, y: x * x * y) == pytest.approx(
-        b.moment(2.0) * e.moment(1.0), rel=1e-10
+    for e, b in [
+        (Empirical((0.25, 0.75), (1.0, 3.0)), Beta(2.0, 2.0)),
+        (Dirac(0.4), TruncatedLogNormal(-0.8, 0.5)),
+        (Scaled(Empirical((0.1, 0.5, 0.9), (1.0, 2.0, 1.0)), 0.8), Beta(1.5, 3.0, 0.1)),
+    ]:
+        f = lambda x, y: x * y * y
+        expected = e.moment(1.0) * b.moment(2.0)
+        assert Product(e, b).average(f) == pytest.approx(expected, rel=1e-10)
+        assert Product(b, e).average(lambda x, y: x * x * y) == pytest.approx(
+            b.moment(2.0) * e.moment(1.0), rel=1e-10
+        )
+
+
+def _histogram(n, seed):
+    rng = np.random.default_rng(seed)
+    return Empirical(tuple(rng.uniform(0.01, 1.0, n)), tuple(rng.uniform(0.0, 1.0, n)))
+
+
+def _vector_f(x, y):
+    # Vector valued, not separable, with a cusp-free but curved profile.
+    return np.stack(np.broadcast_arrays(1.0 / (1.0 + 3.0 * x * y), np.sqrt(x) * y * y),
+                    axis=-1)
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+def test_product_average_sums_atoms_in_one_pass(swapped):
+    atoms, smooth = _histogram(127, 3), TruncatedLogNormal(-0.9, 0.5)
+    calls = []
+
+    def f(x, y):
+        calls.append(1)
+        return _vector_f(x, y)
+
+    joint = Product(smooth, atoms) if swapped else Product(atoms, smooth)
+    value = joint.average(lambda x, y: f(y, x) if swapped else f(x, y))
+    # One 1D expectation per atom, summed with the atom weights.
+    expected = sum(
+        w * smooth.expectation(lambda y, e=e: _vector_f(np.asarray(e), y))
+        for e, w in atoms.atoms
     )
+    np.testing.assert_allclose(value, expected, rtol=1e-12, atol=0.0)
+    assert len(calls) <= 20
+
+
+def test_product_of_histograms_is_outer_product_sum():
+    a, b = _histogram(40, 4), _histogram(70, 5)
+    value = Product(a, b).average(_vector_f)
+    ea, wa = np.asarray(a.etas), np.asarray(a.weights)
+    eb, wb = np.asarray(b.etas), np.asarray(b.weights)
+    expected = np.einsum("i,j,ijk->k", wa, wb, _vector_f(ea[:, None], eb[None, :]))
+    np.testing.assert_allclose(value, expected, rtol=1e-13, atol=0.0)
+    # A constant f broadcasts over every pair of atoms.
+    assert Product(a, b).average(lambda x, y: 2.0) == pytest.approx(2.0, rel=1e-14)
+
+
+def test_large_histogram_product_is_fast():
+    a, b = _histogram(5000, 6), _histogram(5000, 7)
+    start = time.perf_counter()
+    value = Product(a, b).average(lambda x, y: np.sqrt(x * y))
+    elapsed = time.perf_counter() - start
+    assert value == pytest.approx(a.moment(0.5) * b.moment(0.5), rel=1e-12)
+    assert elapsed < 1.0
 
 
 def test_product_average_continuous_matches_factorization():

@@ -1,11 +1,12 @@
 """Click statistics through fluctuating loss, against event-level simulation."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
-from scipy import stats
+from scipy import special, stats
 
 from oracles import (
     batch_statistic,
@@ -15,6 +16,7 @@ from oracles import (
 )
 from turbulight.numerics import RandomSource
 from turbulight.pdt import Beta, Dirac, Empirical, TruncatedLogNormal
+from turbulight import photocount
 from turbulight.photocount import (
     DetectorModel,
     PhotonNumberDist,
@@ -51,6 +53,54 @@ def test_non_finite_intensity_rejected(bad):
     for alpha in (bad, complex(1.0, bad), 1e200):
         with pytest.raises(ValueError, match="finite"):
             count_distribution_coherent(alpha, Beta(2.0, 2.0), det)
+
+
+def _walked_cutoff(mean, tail):
+    """The count-by-count search up from int(mean), as the reference."""
+    if mean == 0.0:
+        return 0
+    n = int(mean)
+    while special.gammaincc(n + 1.0, mean) < 1.0 - tail:
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("tail", [1e-12, 1e-6])
+def test_noise_cutoff_matches_count_by_count_search(tail):
+    rng = np.random.default_rng(11)
+    means = [0.0, 1e-300, 1e-14, 1e-3, 0.1, 0.3, 0.5, 1.0, 2.5, 7.0, 12.3,
+             30.0, 99.9, 1e3, 2e4, 6e4]
+    means += list(10.0 ** rng.uniform(-6.0, 4.5, 200))
+    assert [photocount._noise_cutoff(m, tail) for m in means] == [
+        _walked_cutoff(m, tail) for m in means
+    ]
+
+
+def test_huge_intensity_raises_before_allocating():
+    det = DetectorModel(efficiency=0.7, noise_counts=0.3)
+    start = time.perf_counter()
+    # |alpha|^2 = 1e10 would need ~1e10 counts per quadrature node.
+    with pytest.raises(ValueError, match="MAX_COUNTS"):
+        count_distribution_coherent(1e5, Beta(2.0, 2.0), det)
+    with pytest.raises(ValueError, match="MAX_COUNTS"):
+        count_distribution_fock([0.0, 1.0], Beta(2.0, 2.0),
+                                DetectorModel(noise_counts=1e10))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_count_vector_length_bound():
+    det = DetectorModel(efficiency=1.0)
+    # Counts up to mean + ~7 sqrt(mean) cover all but 1e-12 of a Poisson law.
+    kept = count_distribution_coherent(math.sqrt(6e4), Dirac(1.0), det)
+    assert len(kept) <= photocount.MAX_COUNTS
+    assert kept.mean() == pytest.approx(6e4, rel=1e-9)
+    with pytest.raises(ValueError, match="MAX_COUNTS"):
+        count_distribution_coherent(math.sqrt(6.5e4), Dirac(1.0), det)
+    # A Fock input already one entry too long.
+    too_long = np.zeros(photocount.MAX_COUNTS + 1)
+    too_long[-1] = 1.0
+    with pytest.raises(ValueError, match="MAX_COUNTS"):
+        count_distribution_fock(too_long, Dirac(1.0), det)
 
 
 def test_detector_model_validation():
