@@ -40,12 +40,14 @@ from .states import (
     variance_to_db,
 )
 from .channel import (
-    MomentOrder,
+    arm_statistics,
     attenuate_moment,
     characteristic_out,
+    joint_statistics,
     transform_two_mode,
 )
 from .photocount import (
+    MAX_COUNTS,
     DetectorModel,
     PhotonNumberDist,
     count_distribution_coherent,
@@ -73,7 +75,6 @@ from .homodyne import (
     noisy_variance,
     postselect_sweep,
     squeeze_out,
-    squeezing_db,
 )
 from .entangle import (
     CertifierResult,
@@ -82,7 +83,6 @@ from .entangle import (
     dgcz_matrix,
     dgcz_out_closed,
     dgcz_out_correlated,
-    partial_transpose,
     preservation_domain,
     simon_certifier,
     simon_matrix,
@@ -118,11 +118,13 @@ __all__ = [
     "tmsv",
     "variance_to_db",
     # channel maps
-    "MomentOrder",
+    "arm_statistics",
     "attenuate_moment",
     "characteristic_out",
+    "joint_statistics",
     "transform_two_mode",
     # photocounting
+    "MAX_COUNTS",
     "DetectorModel",
     "PhotonNumberDist",
     "count_distribution_coherent",
@@ -148,7 +150,6 @@ __all__ = [
     "noisy_variance",
     "postselect_sweep",
     "squeeze_out",
-    "squeezing_db",
     # Gaussian entanglement
     "CertifierResult",
     "MomentMatrix",
@@ -156,7 +157,6 @@ __all__ = [
     "dgcz_matrix",
     "dgcz_out_closed",
     "dgcz_out_correlated",
-    "partial_transpose",
     "preservation_domain",
     "simon_certifier",
     "simon_matrix",

@@ -46,6 +46,8 @@ from .pdt import EmptySelectionError, JointTransmittanceDistribution
 from .photocount import DetectorModel
 
 __all__ = [
+    "DEFAULT_ANGLES_A",
+    "DEFAULT_ANGLES_B",
     "BellSettings",
     "BellSingularityError",
     "CTerms",

@@ -21,37 +21,53 @@ joint channel exactly at the level of first and second moments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numerics import DEFAULT_QUADRATURE
 from .pdt import JointTransmittanceDistribution, TransmittanceDistribution
 from .states import TwoModeMoments
 
-__all__ = ["MomentOrder", "attenuate_moment", "transform_two_mode", "characteristic_out"]
+__all__ = [
+    "attenuate_moment",
+    "arm_statistics",
+    "joint_statistics",
+    "transform_two_mode",
+    "characteristic_out",
+]
 
 
-@dataclass(frozen=True)
-class MomentOrder:
-    """Order (n, m) of a normally ordered moment <a^dag^n a^m>."""
-
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if self.n < 0 or self.m < 0 or self.n != int(self.n) or self.m != int(self.m):
-            raise ValueError("moment orders must be nonnegative integers")
-
-
-def attenuate_moment(value, order: MomentOrder, dist: TransmittanceDistribution,
+def attenuate_moment(value, n, m, dist: TransmittanceDistribution,
                      spec=DEFAULT_QUADRATURE):
-    """Channel output of one normally ordered moment of one mode.
+    """Channel output of one normally ordered moment <a^dag^n a^m> of one mode.
 
     <a^dag^n a^m>_out = <eta^{(n+m)/2}> <a^dag^n a^m>_in.
     """
-    k = (order.n + order.m) / 2.0
-    return dist.moment(k, spec) * value
+    if n < 0 or m < 0 or n != int(n) or m != int(m):
+        raise ValueError("moment orders must be nonnegative integers")
+    return dist.moment((n + m) / 2.0, spec) * value
+
+
+def arm_statistics(dist: TransmittanceDistribution, spec=DEFAULT_QUADRATURE):
+    """(<T^2>, <(Delta T)^2>) of one arm's amplitude transmission T = sqrt(eta)."""
+    t2 = dist.moment(1.0, spec)
+    return t2, t2 - dist.moment(0.5, spec) ** 2
+
+
+def joint_statistics(joint: JointTransmittanceDistribution,
+                     spec=DEFAULT_QUADRATURE):
+    """Amplitude-transmission statistics of a joint law, from five moments.
+
+    Returns (ta1, tb1, ta2, tb2, tab, var_ta, var_tb, cov) with
+    ta_j = <T_a^j>, tb_j = <T_b^j>, tab = <T_a T_b>, var_ta = ta2 - ta1^2,
+    var_tb = tb2 - tb1^2 and cov = tab - ta1 tb1.
+    """
+    ta1 = joint.t_moment(1, 0, spec)
+    tb1 = joint.t_moment(0, 1, spec)
+    ta2 = joint.t_moment(2, 0, spec)
+    tb2 = joint.t_moment(0, 2, spec)
+    tab = joint.t_moment(1, 1, spec)
+    return (ta1, tb1, ta2, tb2, tab,
+            ta2 - ta1 * ta1, tb2 - tb1 * tb1, tab - ta1 * tb1)
 
 
 def transform_two_mode(state: TwoModeMoments,
@@ -71,17 +87,9 @@ def transform_two_mode(state: TwoModeMoments,
     (co)variances of the amplitude transmissions, which is how channel
     noise leaks the coherent displacement into the fluctuation moments.
     """
-    ta1 = joint.t_moment(1, 0, spec)
-    tb1 = joint.t_moment(0, 1, spec)
-    ta2 = joint.t_moment(2, 0, spec)
-    tb2 = joint.t_moment(0, 2, spec)
-    tab = joint.t_moment(1, 1, spec)
-
+    ta1, tb1, ta2, tb2, tab, var_ta, var_tb, cov_tab = joint_statistics(joint, spec)
     mu_a = complex(state.mean_a)
     mu_b = complex(state.mean_b)
-    var_ta = ta2 - ta1 * ta1
-    var_tb = tb2 - tb1 * tb1
-    cov_tab = tab - ta1 * tb1
 
     return TwoModeMoments(
         mean_a=ta1 * mu_a,

@@ -1,10 +1,9 @@
 """Command-line front end: config loading, sweeps, CSV/JSON artifacts.
 
-One JSON config file describes one run; the only flags are ``--config``,
-``--out-dir`` and ``--seed-override``.  Configs are schema-checked before
-any computation starts, and unknown keys anywhere in the tree are
-rejected -- a typo should fail loudly, not silently fall back to a
-default.  Scenarios:
+One JSON config file describes one run; the only flags are ``--config``
+and ``--out-dir``.  Configs are schema-checked before any computation
+starts, and unknown keys anywhere in the tree are rejected -- a typo
+should fail loudly, not silently fall back to a default.  Scenarios:
 
 ``bell``
     CHSH parameter swept over squeezing or a preselection threshold.
@@ -23,11 +22,10 @@ default.  Scenarios:
     Transmittance-law summary (moments, support) as JSON.
 
 Every run writes ``manifest.json`` into the output directory: the echoed
-inputs (with the effective seed after any override), the library version,
-the seed, the wall time, artifact names, and ingestion reports for any
-empirical transmittance files.  With a fixed config and seed the CSV/JSON
-artifacts are byte-identical across runs; only ``wall_time_s`` in the
-manifest varies.
+inputs, the library version, the wall time, artifact names, and ingestion
+reports for any empirical transmittance files.  With a fixed config the
+CSV/JSON artifacts are byte-identical across runs; only ``wall_time_s``
+in the manifest varies.
 
 Numbers in CSVs carry 17 significant digits, enough to round-trip IEEE
 doubles, so every value is reproducible by direct library calls with the
@@ -121,12 +119,6 @@ def _as_real(value, where):
     if not math.isfinite(value):
         raise ConfigError(f"{where}: must be finite, got {value!r}")
     return float(value)
-
-
-def _as_int(value, where):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    return value
 
 
 def _as_str(value, where):
@@ -341,7 +333,7 @@ def _write_json(path, payload):
 # scenarios
 # ---------------------------------------------------------------------------
 
-_COMMON_OPTIONAL = ("seed", "output")
+_COMMON_OPTIONAL = ("output",)
 
 
 def _require_some_valid(points):
@@ -542,7 +534,7 @@ def _load_config(path):
     return raw
 
 
-def run(config, out_dir, config_dir=".", seed_override=None):
+def run(config, out_dir, config_dir="."):
     """Execute one validated run; returns the manifest dictionary.
 
     Raises ConfigError / EmptySelection errors / numerical errors for the
@@ -559,23 +551,15 @@ def run(config, out_dir, config_dir=".", seed_override=None):
         )
     runner, default_output = _SCENARIOS[scenario]
 
-    seed = _as_int(config.get("seed", 0), "config.seed")
-    if seed_override is not None:
-        seed = _as_int(seed_override, "--seed-override")
-    if seed < 0:
-        raise ConfigError(f"config.seed: must be >= 0, got {seed!r}")
     output = _as_str(config.get("output", default_output), "config.output")
 
     reports = []
     out_path = os.path.join(out_dir, output)
     runner(config, out_path, config_dir, reports)
 
-    echo = dict(config)
-    echo["seed"] = seed
     manifest = {
         "version": __version__,
-        "seed": seed,
-        "inputs": echo,
+        "inputs": dict(config),
         "artifacts": [output],
         "ingestion": [
             {
@@ -607,18 +591,12 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="path to JSON run config")
     parser.add_argument("--out-dir", default=".",
                         help="directory for CSV/JSON artifacts (default: .)")
-    parser.add_argument("--seed-override", type=int, default=None,
-                        help="replace the config's RNG seed")
     args = parser.parse_args(argv)
 
     try:
         config = _load_config(args.config)
-        run(
-            config,
-            args.out_dir,
-            config_dir=os.path.dirname(os.path.abspath(args.config)),
-            seed_override=args.seed_override,
-        )
+        run(config, args.out_dir,
+            config_dir=os.path.dirname(os.path.abspath(args.config)))
     except ConfigError as exc:
         return _fail(2, "config", str(exc))
     except (EmptySelectionError, EmptySelectionEverywhere) as exc:

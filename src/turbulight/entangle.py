@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import arm_statistics, joint_statistics
 from .numerics import DEFAULT_QUADRATURE
 from .pdt import JointTransmittanceDistribution, TransmittanceDistribution
 from .states import TwoModeMoments
@@ -50,7 +51,6 @@ __all__ = [
     "CertifierResult",
     "simon_matrix",
     "dgcz_matrix",
-    "partial_transpose",
     "simon_certifier",
     "dgcz_certifier",
     "dgcz_out_closed",
@@ -122,11 +122,6 @@ def dgcz_matrix(state: TwoModeMoments) -> MomentMatrix:
     return MomentMatrix(_DGCZ_LABELS, state)
 
 
-def partial_transpose(matrix: MomentMatrix) -> MomentMatrix:
-    """Label-level partial transposition on mode b."""
-    return matrix.partial_transpose()
-
-
 @dataclass(frozen=True)
 class CertifierResult:
     """Entanglement certifier value with its decision flags.
@@ -169,15 +164,7 @@ def dgcz_out_closed(state: TwoModeMoments,
     Needs only five amplitude-transmission moments of the joint law; the
     test suite pins it against certifying the transformed state directly.
     """
-    ta1 = joint.t_moment(1, 0, spec)
-    tb1 = joint.t_moment(0, 1, spec)
-    ta2 = joint.t_moment(2, 0, spec)
-    tb2 = joint.t_moment(0, 2, spec)
-    tab = joint.t_moment(1, 1, spec)
-    var_ta = ta2 - ta1 * ta1
-    var_tb = tb2 - tb1 * tb1
-    cov = tab - ta1 * tb1
-
+    _, _, ta2, tb2, tab, var_ta, var_tb, cov = joint_statistics(joint, spec)
     w_in = dgcz_matrix(state).partial_transpose().determinant()
     pair = complex(state.pair)
     mu_a = complex(state.mean_a)
@@ -223,8 +210,7 @@ def dgcz_out_correlated(state: TwoModeMoments,
     displacement the sign of W_in is preserved for every transmittance
     law.
     """
-    t2 = dist.moment(1.0, spec)
-    var_t = t2 - dist.moment(0.5, spec) ** 2
+    t2, var_t = arm_statistics(dist, spec)
     w_in = dgcz_matrix(state).partial_transpose().determinant()
     value = t2 * t2 * w_in + var_t * t2 * _displacement_form(
         state, state.mean_a, state.mean_b

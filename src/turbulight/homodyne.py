@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import arm_statistics
 from .numerics import DEFAULT_QUADRATURE
 from .pdt import EmptySelectionError, TransmittanceDistribution
 from .states import SingleModeGaussian, variance_to_db
@@ -42,7 +43,6 @@ __all__ = [
     "HomodyneModel",
     "SqueezeSweepPoint",
     "squeeze_out",
-    "squeezing_db",
     "postselect_sweep",
     "noisy_variance",
 ]
@@ -68,17 +68,11 @@ class HomodyneModel:
 def squeeze_out(state: SingleModeGaussian, dist: TransmittanceDistribution,
                 phase=0.0, spec=DEFAULT_QUADRATURE):
     """Normally ordered quadrature variance after the channel."""
-    t2 = dist.moment(1.0, spec)
-    var_t = t2 - dist.moment(0.5, spec) ** 2
+    t2, var_t = arm_statistics(dist, spec)
     return (
         t2 * state.quad_variance_normal(phase)
         + var_t * state.quad_mean(phase) ** 2
     )
-
-
-def squeezing_db(normally_ordered_variance):
-    """Noise level relative to vacuum in dB; negative means squeezed."""
-    return variance_to_db(normally_ordered_variance)
 
 
 @dataclass(frozen=True)
@@ -106,7 +100,7 @@ def postselect_sweep(state: SingleModeGaussian, dist: TransmittanceDistribution,
             points.append(SqueezeSweepPoint(threshold, math.nan, False))
             continue
         variance = squeeze_out(state, selected, phase, spec)
-        points.append(SqueezeSweepPoint(threshold, squeezing_db(variance), True))
+        points.append(SqueezeSweepPoint(threshold, variance_to_db(variance), True))
     return points
 
 

@@ -84,9 +84,10 @@ class TransmittanceDistribution:
     """Base class for one-mode transmittance laws.
 
     Concrete subclasses implement ``moment``, ``survival``, ``sample``,
-    ``truncate``, ``scale`` and either ``atoms`` (atomic laws) or
-    ``density`` with ``support`` (continuous laws).  Everything here is
-    immutable and safe to share between threads.
+    ``truncate`` and either ``atoms`` (atomic laws) or ``density`` with
+    ``support`` (continuous laws).  ``scale`` wraps the law in
+    :class:`Scaled` unless a subclass has a closed form for it.
+    Everything here is immutable and safe to share between threads.
     """
 
     # ---- interface -----------------------------------------------------
@@ -113,7 +114,10 @@ class TransmittanceDistribution:
 
     def scale(self, factor) -> "TransmittanceDistribution":
         """Law of factor * eta, for a deterministic factor in (0, 1]."""
-        raise NotImplementedError
+        _check_unit_interval("scale factor", factor, open_left=True)
+        if factor == 1.0:
+            return self
+        return Scaled(self, factor)
 
     @property
     def atoms(self):
@@ -358,12 +362,6 @@ class Beta(TransmittanceDistribution):
             raise EmptySelectionError(threshold, surviving)
         return Beta(self.p, self.q, new_lo)
 
-    def scale(self, factor):
-        _check_unit_interval("scale factor", factor, open_left=True)
-        if factor == 1.0:
-            return self
-        return Scaled(self, factor)
-
     @property
     def support(self):
         return (self.lo, 1.0)
@@ -482,12 +480,6 @@ class TruncatedLogNormal(TransmittanceDistribution):
         if surviving <= 0.0:
             raise EmptySelectionError(threshold, surviving)
         return selected
-
-    def scale(self, factor):
-        _check_unit_interval("scale factor", factor, open_left=True)
-        if factor == 1.0:
-            return self
-        return Scaled(self, factor)
 
     @property
     def support(self):

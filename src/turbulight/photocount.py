@@ -24,7 +24,9 @@ the Fock route works in blocks of nodes x occupied input photon numbers
 x counts of bounded size, so a Fock input costs O(m) per node.  A count
 vector is cut where the Poisson tail of its largest mean falls below
 1e-12, and may hold at most MAX_COUNTS = 65 536 entries; a longer one
-raises ValueError before anything is allocated.
+raises ValueError before anything is allocated.  The Fock route also
+raises ValueError, before building them, when its set-up tables would
+exceed 2**24 elements each (a uniform input beyond about 4 000 entries).
 
 The Mandel parameter Q = <(Delta n)^2>/<n> - 1 transfers through the
 channel in closed form:
@@ -69,6 +71,11 @@ _LOG_FLUSH = -700.0
 # Longest count vector (counts 0 .. MAX_COUNTS - 1) a count distribution
 # may have; the integrands hold one such vector per quadrature node.
 MAX_COUNTS = 1 << 16
+# Most elements of one table the Fock route builds before quadrature.  Its
+# (largest occupied m + 1) x counts noise band, no smaller than its occupied
+# rows x (m + 1) binomial table, is quadratic in the input length, so
+# MAX_COUNTS alone would still admit a (65 536 x 65 536) band of 32 GiB.
+_MAX_FOCK_TABLE = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -181,7 +188,8 @@ def count_distribution_fock(input_probs, dist: TransmittanceDistribution,
     eta_c * eta (binomial thinning) and Poisson noise with mean nu adds on
     top; the conditional vector is then averaged over the transmittance
     law.  Exact (no quadrature) for atomic laws.  Raises ValueError if the
-    counts would need more than MAX_COUNTS entries.
+    counts would need more than MAX_COUNTS entries, or the set-up tables
+    (quadratic in the input length) more than 2**24 elements each.
     """
     p_in = np.asarray(input_probs, dtype=float)
     if p_in.ndim != 1 or p_in.size == 0:
@@ -194,6 +202,13 @@ def count_distribution_fock(input_probs, dist: TransmittanceDistribution,
     # Only occupied input rows contribute; thinning m photons leaves k <= m,
     # so the survived vector stops at the largest occupied m.
     ms = np.flatnonzero(p_in)
+    table = (int(ms[-1]) + 1) * (n_max + 1)
+    if table > _MAX_FOCK_TABLE:
+        raise ValueError(
+            f"a Fock input up to m = {ms[-1]} with counts up to {n_max} needs "
+            f"tables of {table} elements, beyond the bound of "
+            f"{_MAX_FOCK_TABLE} elements"
+        )
     weights = p_in[ms]
     ks = np.arange(ms[-1] + 1)
     rest = ms[:, None] - ks[None, :]

@@ -25,7 +25,7 @@ from turbulight.entangle import (
     dgcz_out_correlated,
     preservation_domain,
 )
-from turbulight.homodyne import squeeze_out, squeezing_db
+from turbulight.homodyne import squeeze_out
 from turbulight.numerics import RandomSource
 from turbulight.pdt import (
     AdaptiveCorrelated,
@@ -43,15 +43,19 @@ from turbulight.photocount import (
     mandel_out,
     sub_poisson_bound,
 )
-from turbulight.states import TwoModeMoments, squeezed_vacuum_db, tmsv
-
-CONFIG_DIR = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+from turbulight.states import (
+    TwoModeMoments,
+    squeezed_vacuum_db,
+    tmsv,
+    variance_to_db,
 )
 
+TEST_DIR = os.path.dirname(os.path.abspath(__file__))
+CONFIG_DIR = os.path.join(os.path.dirname(TEST_DIR), "configs")
 
-def _load_config(name):
-    with open(os.path.join(CONFIG_DIR, name)) as fh:
+
+def _load_config(name, directory=CONFIG_DIR):
+    with open(os.path.join(directory, name)) as fh:
         return json.load(fh)
 
 
@@ -163,7 +167,7 @@ def test_criterion_07_squeezing_transfer():
     s_db = -2.4
     state = squeezed_vacuum_db(s_db)
     for eta in (0.25, 0.5, 0.9):
-        got = squeezing_db(squeeze_out(state, Dirac(eta)))
+        got = variance_to_db(squeeze_out(state, Dirac(eta)))
         expected = 10.0 * math.log10(1.0 + eta * (10.0 ** (s_db / 10.0) - 1.0))
         assert got == pytest.approx(expected, abs=1e-10)
 
@@ -263,8 +267,8 @@ def test_criterion_10_preservation_domain_geometry():
 
 
 def test_criterion_11_squeezing_harms_entanglement():
-    config = _load_config("entanglement_regression.json")
-    joint = _build_joint(config["channel"], "channel", CONFIG_DIR, [])
+    config = _load_config("entanglement_regression.json", TEST_DIR)
+    joint = _build_joint(config["channel"], "channel", TEST_DIR, [])
     surviving = dgcz_out_closed(tmsv(config["entangled_squeezing"]), joint)
     assert surviving.entangled and not surviving.indeterminate
     destroyed = dgcz_out_closed(tmsv(config["separable_squeezing"]), joint)

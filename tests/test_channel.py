@@ -8,7 +8,6 @@ from scipy import integrate as sp_integrate
 
 from oracles import batch_statistic
 from turbulight.channel import (
-    MomentOrder,
     attenuate_moment,
     characteristic_out,
     transform_two_mode,
@@ -27,22 +26,18 @@ from turbulight.states import TwoModeMoments, tmsv
 
 def test_attenuate_moment_scales_by_half_order():
     uniform = Beta(1.0, 1.0)
-    assert attenuate_moment(2.0, MomentOrder(1, 1), Dirac(0.36)) == pytest.approx(
-        0.72, rel=1e-14
-    )
-    assert attenuate_moment(1.0, MomentOrder(0, 1), Dirac(0.36)) == pytest.approx(
-        0.6, rel=1e-14
-    )
-    assert attenuate_moment(3.0, MomentOrder(2, 2), uniform) == pytest.approx(
-        1.0, rel=1e-12
-    )
+    assert attenuate_moment(2.0, 1, 1, Dirac(0.36)) == pytest.approx(0.72, rel=1e-14)
+    assert attenuate_moment(1.0, 0, 1, Dirac(0.36)) == pytest.approx(0.6, rel=1e-14)
+    assert attenuate_moment(3.0, 2, 2, uniform) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_moment_order_validation():
     with pytest.raises(ValueError):
-        MomentOrder(-1, 0)
+        attenuate_moment(1.0, -1, 0, Dirac(0.5))
     with pytest.raises(ValueError):
-        MomentOrder(0, -2)
+        attenuate_moment(1.0, 0, -2, Dirac(0.5))
+    with pytest.raises(ValueError):
+        attenuate_moment(1.0, 0.5, 1, Dirac(0.5))
 
 
 def _rich_state():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -11,6 +12,8 @@ from turbulight.entangle import preservation_domain
 from turbulight.pdt import Dirac, Product
 from turbulight.photocount import DetectorModel
 from turbulight.states import tmsv
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def _write_config(tmp_path, payload, name="run.json"):
@@ -131,9 +134,7 @@ def test_bell_squeezing_sweep_artifacts(tmp_path):
 
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["artifacts"] == ["bell.csv"]
-    assert manifest["seed"] == 0
-    assert manifest["inputs"]["scenario"] == "bell"
-    assert manifest["inputs"]["seed"] == 0
+    assert manifest["inputs"] == _bell_config()
     assert manifest["ingestion"] == []
     assert manifest["wall_time_s"] >= 0.0
     assert "version" in manifest
@@ -247,20 +248,37 @@ def test_empirical_path_resolves_relative_to_config(tmp_path):
     assert payload["mean"] == pytest.approx(0.25 * 0.3 + 0.75 * 0.9)
 
 
-def test_seed_override_lands_in_manifest(tmp_path):
-    cfg_path = _write_config(tmp_path, _bell_config(seed=7))
-    out = tmp_path / "out"
-    assert main(["--config", cfg_path, "--out-dir", str(out),
-                 "--seed-override", "42"]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["seed"] == 42
-    assert manifest["inputs"]["seed"] == 42
-
-
 def test_run_returns_manifest(tmp_path):
     manifest = run(_bell_config(), str(tmp_path / "out"))
     assert manifest["artifacts"] == ["bell.csv"]
     assert (tmp_path / "out" / "bell.csv").exists()
+
+
+def _bell_column(path):
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return [float(param) for param, _, _ in rows], [float(b) for _, b, _ in rows]
+
+
+def test_every_committed_config_runs_deterministically(tmp_path):
+    bell = {}
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        runs = [tmp_path / path.stem / "run1", tmp_path / path.stem / "run2"]
+        for out in runs:
+            assert main(["--config", str(path), "--out-dir", str(out)]) == 0, path.name
+        manifests = [json.loads((out / "manifest.json").read_text()) for out in runs]
+        for manifest in manifests:
+            manifest.pop("wall_time_s")
+        assert manifests[0] == manifests[1]
+        for artifact in manifests[0]["artifacts"]:
+            assert (runs[0] / artifact).read_bytes() == (runs[1] / artifact).read_bytes()
+        if path.stem.startswith("bell_squeezing"):
+            bell[path.stem] = _bell_column(runs[0] / "bell.csv")
+    # Copropagation (one shared fade) keeps more CHSH violation than the
+    # same law on independent arms, at every squeezing of the grid.
+    grid, shared = bell["bell_squeezing"]
+    independent_grid, independent = bell["bell_squeezing_independent"]
+    assert grid == independent_grid
+    assert all(s > i for s, i in zip(shared, independent))
 
 
 def test_custom_output_name(tmp_path):
@@ -281,6 +299,14 @@ def test_unknown_key_rejected(tmp_path, capsys):
     cfg_path = _write_config(tmp_path, _bell_config(typo_key=1))
     assert main(["--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
     assert _stderr_category(capsys) == "config"
+
+
+def test_seed_override_flag_is_rejected(tmp_path):
+    cfg_path = _write_config(tmp_path, _bell_config())
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--config", cfg_path, "--out-dir", str(tmp_path / "o"),
+              "--seed-override", "42"])
+    assert exit_info.value.code == 2
 
 
 def test_unknown_nested_key_rejected(tmp_path, capsys):
@@ -347,8 +373,8 @@ def test_negative_squeezing_grid_rejected(tmp_path, capsys):
         {"n_grid": []},
         {"pdt": {"family": "beta", "p": -1.0, "q": 1.0}},
         {"pdt": {"family": "gamma"}},
-        {"seed": -1},
-        {"seed": 1.5},
+        {"seed": 0},
+        {"output": ""},
     ],
 )
 def test_mandel_schema_violations(tmp_path, capsys, patch):

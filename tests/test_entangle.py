@@ -13,7 +13,6 @@ from turbulight.entangle import (
     dgcz_matrix,
     dgcz_out_closed,
     dgcz_out_correlated,
-    partial_transpose,
     preservation_domain,
     simon_certifier,
     simon_matrix,
@@ -45,7 +44,7 @@ def test_tmsv_certifier_values_from_fock_expansion():
 def test_partial_transpose_is_an_involution():
     state = tmsv(0.6, mean_a=0.3 - 0.1j, mean_b=0.2j)
     for matrix in (simon_matrix(state), dgcz_matrix(state)):
-        twice = partial_transpose(partial_transpose(matrix))
+        twice = matrix.partial_transpose().partial_transpose()
         np.testing.assert_array_equal(twice.array(), matrix.array())
 
 

@@ -11,7 +11,6 @@ from turbulight.homodyne import (
     noisy_variance,
     postselect_sweep,
     squeeze_out,
-    squeezing_db,
 )
 from turbulight.numerics import RandomSource
 from turbulight.pdt import Beta, Dirac, Scaled, TruncatedLogNormal
@@ -37,7 +36,7 @@ def test_constant_channel_scales_variance():
 def test_db_bookkeeping_through_half_loss():
     state = squeezed_vacuum_db(-2.4)
     v_in = state.quad_variance_normal(0.0)
-    db_out = squeezing_db(squeeze_out(state, Dirac(0.5)))
+    db_out = variance_to_db(squeeze_out(state, Dirac(0.5)))
     assert db_out == pytest.approx(variance_to_db(0.5 * v_in), rel=1e-13)
     assert -2.4 < db_out < 0.0  # attenuation moves toward vacuum, never past
 

@@ -103,6 +103,18 @@ def test_count_vector_length_bound():
         count_distribution_fock(too_long, Dirac(1.0), det)
 
 
+def test_fock_tables_are_bounded_before_allocation():
+    # Both inputs fit MAX_COUNTS but would need a (65 536 x 65 536) band.
+    uniform = np.full(photocount.MAX_COUNTS, 1.0 / photocount.MAX_COUNTS)
+    top = np.zeros(photocount.MAX_COUNTS)
+    top[-1] = 1.0
+    start = time.perf_counter()
+    for p_in in (uniform, top):
+        with pytest.raises(ValueError, match="elements"):
+            count_distribution_fock(p_in, Beta(2.0, 2.0), DetectorModel())
+    assert time.perf_counter() - start < 0.1
+
+
 def test_detector_model_validation():
     with pytest.raises(ValueError):
         DetectorModel(efficiency=0.0)
