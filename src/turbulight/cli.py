@@ -23,9 +23,11 @@ should fail loudly, not silently fall back to a default.  Scenarios:
 
 Every run writes ``manifest.json`` into the output directory: the echoed
 inputs, the library version, the wall time, artifact names, and ingestion
-reports for any empirical transmittance files.  With a fixed config the
-CSV/JSON artifacts are byte-identical across runs; only ``wall_time_s``
-in the manifest varies.
+reports for any empirical transmittance files.  A relative empirical path
+is read relative to the config file's directory, and its report records
+the path as the config wrote it.  With a fixed config the CSV/JSON
+artifacts are byte-identical across runs, and so is the manifest apart
+from ``wall_time_s``, wherever the config and its data files are copied.
 
 Numbers in CSVs carry 17 significant digits, enough to round-trip IEEE
 doubles, so every value is reproducible by direct library calls with the
@@ -45,7 +47,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import __version__
 from .bell import BellSettings, BellSingularityError, bell_sweep
@@ -246,10 +248,9 @@ def _build_pdt(node, where, config_dir, reports):
     if family == "empirical":
         _check_keys(node, where, ("family", "path"))
         path = _as_str(node["path"], f"{where}.path")
-        if not os.path.isabs(path):
-            path = os.path.join(config_dir, path)
-        dist, report = ingest_pdt(path)
-        reports.append(report)
+        # Read relative to the config; report the path as the config wrote it.
+        dist, report = ingest_pdt(os.path.join(config_dir, path))
+        reports.append(replace(report, path=path))
         return dist
     if family == "scaled":
         _check_keys(node, where, ("family", "factor", "inner"))

@@ -30,6 +30,9 @@ array of abscissas); vector integrands share one panel subdivision with the
 error measured in the max norm, which is how the Bell-test averages evaluate
 several correlated expectations in a single adaptive pass, and how the
 inner integral of :func:`integrate2` treats a batch of outer nodes at once.
+That inner integral is warm-started: each batch of outer nodes refines the
+partition of y the previous batch ended with, not a single panel, under
+the same tolerance and depth budget.
 
 If the depth budget runs out before the tolerance is met, the integrator
 raises :class:`QuadratureAccuracyError` carrying its best estimate and a
@@ -200,11 +203,27 @@ def integrate(f, a, b, spec=DEFAULT_QUADRATURE):
     if a == b:
         return 0.0
 
-    lo = np.array([float(a)])
-    hi = np.array([float(b)])
-    depth = np.zeros(1, dtype=int)
+    result, _ = _refine(f, *_one_panel(a, b), spec)
+    return result
+
+
+def _one_panel(a, b):
+    """The partition (lo, hi, depth) of [a, b] into one panel."""
+    return np.array([float(a)]), np.array([float(b)]), np.zeros(1, dtype=int)
+
+
+def _refine(f, lo, hi, depth, spec):
+    """Refine the partition (lo, hi, depth) of an interval until it meets spec.
+
+    The panels must tile the interval in position order; ``depth`` counts
+    the bisections behind each.  The tolerance scale is the max-norm of the
+    summed K15 values of the starting panels.  Returns the integral and the
+    final partition, in position order; raises
+    :class:`QuadratureAccuracyError` as :func:`integrate` does.
+    """
+    a, b = float(lo[0]), float(hi[-1])
     val, err = _panels_1d(f, lo, hi)
-    scale = max(float(np.max(np.abs(val[0]))), 1e-300)
+    scale = max(float(np.abs(val.sum(axis=0)).max()), 1e-300)
     tol = max(spec.abs_tol, spec.rel_tol * scale)
     min_width = 1e-16 * (b - a)
 
@@ -242,7 +261,8 @@ def integrate(f, a, b, spec=DEFAULT_QUADRATURE):
         err_total = float(np.sum(err))
 
     # Summing in panel-position order fixes the order of the additions.
-    total = val[np.argsort(lo, kind="stable")].sum(axis=0)
+    order = np.argsort(lo, kind="stable")
+    total = val[order].sum(axis=0)
     result = total if total.ndim else float(total)
     if exhausted:
         raise QuadratureAccuracyError(
@@ -252,19 +272,22 @@ def integrate(f, a, b, spec=DEFAULT_QUADRATURE):
             estimate=result,
             error_bound=err_total,
         )
-    return result
+    return result, (lo[order], hi[order], depth[order])
 
 
 def integrate2(f, ax, bx, ay, by, spec=DEFAULT_QUADRATURE):
     """Integrate over the rectangle [ax, bx] x [ay, by] as an iterated integral.
 
     The outer :func:`integrate` runs over x; for each batch of outer nodes
-    its integrand is one vector-valued inner :func:`integrate` over y whose
+    its integrand is one vector-valued inner integral over y whose
     components are those nodes, so each axis is refined only where it needs
-    it.  Both levels use ``spec``, and an inner failure propagates as
-    :class:`QuadratureAccuracyError`.  ``f`` must broadcast over a column of
-    x values against a row of y values and may be vector valued (trailing
-    axes beyond the first two are carried through).
+    it.  Each inner integral starts from the partition of y the previous
+    batch ended with (panel depths included), so hard spots at fixed y are
+    found once, not once per outer level.  Both levels use ``spec``, and an
+    inner failure propagates as :class:`QuadratureAccuracyError`.  ``f``
+    must broadcast over a column of x values against a row of y values and
+    may be vector valued (trailing axes beyond the first two are carried
+    through).
     """
     for v in (ax, bx, ay, by):
         if not np.isfinite(v):
@@ -274,7 +297,11 @@ def integrate2(f, ax, bx, ay, by, spec=DEFAULT_QUADRATURE):
     if ax == bx or ay == by:
         return 0.0
 
+    partition = _one_panel(ay, by)
+
     def over_y(x):
+        nonlocal partition
+
         def column(y):
             fxy = np.asarray(f(x[:, None], y[None, :]))
             if fxy.shape[:2] != (x.size, y.size):
@@ -284,7 +311,8 @@ def integrate2(f, ax, bx, ay, by, spec=DEFAULT_QUADRATURE):
                 )
             return np.moveaxis(fxy, 0, -1)
 
-        return np.moveaxis(np.asarray(integrate(column, ay, by, spec)), -1, 0)
+        inner, partition = _refine(column, *partition, spec)
+        return np.moveaxis(np.asarray(inner), -1, 0)
 
     return integrate(over_y, ax, bx, spec)
 

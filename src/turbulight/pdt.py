@@ -59,6 +59,23 @@ _BLOCK_ELEMENTS = 1 << 16
 # Phi(b) - Phi(a) of two such CDFs has lost three digits or more; the
 # log-normal law then takes it as Phi(-a) - Phi(-b), which keeps them.
 _UPPER_TAIL_Z = float(-special.ndtri(1e-3))
+# Below this width dz both forms cancel too: Phi(z) - Phi(z - dz) is then
+# the integral of the normal density over [z - dz, z], which a fixed
+# Gauss-Legendre rule takes to rounding (phi is entire, the interval short).
+_NEAR_ONE_DZ = 1e-2
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
+_GL_NODES, _GL_WEIGHTS = 0.5 * (1.0 + _GL_NODES), 0.5 * _GL_WEIGHTS
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _normal_mass_below(z, dz):
+    """[Phi(z) - Phi(z - dz)] / phi(z) for 0 < dz < ``_NEAR_ONE_DZ``.
+
+    The density is expanded about z, phi(z - dz s) = phi(z) exp(dz s (z -
+    dz s / 2)), so no term cancels and phi(z) can be applied in log space.
+    """
+    ds = np.asarray(dz, dtype=float)[..., None] * _GL_NODES
+    return dz * (np.exp(ds * (z - 0.5 * ds)) @ _GL_WEIGHTS)
 
 
 class EmptySelectionError(ValueError):
@@ -397,12 +414,18 @@ class TruncatedLogNormal(TransmittanceDistribution):
         z_lo = (ln lo - mu)/s - shift; -inf if empty.
 
         In the upper tail (z_lo > ``_UPPER_TAIL_Z``) both Phi round
-        towards 1, so the same mass is taken as Phi(-z_lo) - Phi(-z_hi).
+        towards 1, so the same mass is taken as Phi(-z_lo) - Phi(-z_hi);
+        for lo near 1 it is the integral of the density over [z_lo, z_hi].
         """
         z_hi = -self.mu / self.sigma - shift
         if self.lo <= 0.0:
             return float(special.log_ndtr(z_hi))
-        z_lo = (math.log(self.lo) - self.mu) / self.sigma - shift
+        log_lo = math.log(self.lo)
+        dz = -log_lo / self.sigma
+        if dz < _NEAR_ONE_DZ:
+            log_phi_hi = -0.5 * z_hi * z_hi - _LOG_SQRT_2PI
+            return log_phi_hi + math.log(_normal_mass_below(z_hi, dz))
+        z_lo = (log_lo - self.mu) / self.sigma - shift
         if z_lo > _UPPER_TAIL_Z:
             log_upper = float(special.log_ndtr(-z_lo))
             log_lower = float(special.log_ndtr(-z_hi))
@@ -448,13 +471,19 @@ class TruncatedLogNormal(TransmittanceDistribution):
         lo = max(self.lo, 0.0)
         z_hi = -self.mu / self.sigma
         upper = float(special.ndtr(z_hi))
-        z = self._z(np.where(eta > 0.0, eta, 0.5))
+        log_eta = np.log(np.where(eta > 0.0, eta, 0.5))
+        z = (log_eta - self.mu) / self.sigma
         # P(eta < X <= 1) = Phi(z_hi) - Phi(z); in the upper tail, where
-        # that difference cancels, it is Phi(-z) - Phi(-z_hi).
+        # that difference cancels, it is Phi(-z) - Phi(-z_hi), and near
+        # eta = 1 the integral of the density over [z, z_hi].
         kept = np.asarray(upper - special.ndtr(z))
         tail = z > _UPPER_TAIL_Z
         if tail.any():
             kept[tail] = special.ndtr(-z[tail]) - float(special.ndtr(-z_hi))
+        near = (log_eta < 0.0) & (log_eta > -_NEAR_ONE_DZ * self.sigma)
+        if near.any():
+            phi_hi = math.exp(-0.5 * z_hi * z_hi) / math.sqrt(2.0 * math.pi)
+            kept[near] = phi_hi * _normal_mass_below(z_hi, -log_eta[near] / self.sigma)
         surv = kept / self._mass()
         out = np.where(eta <= lo, 1.0, np.where(eta >= 1.0, 0.0, surv))
         return out if out.ndim else float(out)

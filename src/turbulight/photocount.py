@@ -297,6 +297,8 @@ def mandel_out(q_in, n_in, dist: TransmittanceDistribution, det: DetectorModel,
     Valid for any input with finite second moments; exactly matches the
     count-distribution route for Fock-diagonal and coherent inputs.
     """
+    if not (math.isfinite(q_in) and math.isfinite(n_in)):
+        raise ValueError(f"q_in and n_in must be finite, got {q_in!r}, {n_in!r}")
     if n_in < 0.0:
         raise ValueError("mean photon number must be nonnegative")
     h1 = det.efficiency * dist.moment(1.0)
@@ -315,6 +317,8 @@ def sub_poisson_bound(q_in, dist: TransmittanceDistribution):
     ratio, so only the channel law enters.  Constant channels never
     destroy sub-Poissonian statistics: the bound is infinite.
     """
+    if not math.isfinite(q_in):
+        raise ValueError(f"q_in must be finite, got {q_in!r}")
     if q_in >= 0.0:
         raise ValueError("input must be sub-Poissonian (q_in < 0)")
     m1 = dist.moment(1.0)

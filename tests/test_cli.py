@@ -248,6 +248,23 @@ def test_empirical_path_resolves_relative_to_config(tmp_path):
     assert payload["mean"] == pytest.approx(0.25 * 0.3 + 0.75 * 0.9)
 
 
+def test_manifest_does_not_depend_on_checkout_location(tmp_path):
+    manifests = []
+    for place in ("first", "second/nested"):
+        where = tmp_path / place
+        where.mkdir(parents=True)
+        for name in ("pdt_info_empirical.json", "fading_sample.csv"):
+            (where / name).write_bytes((CONFIG_DIR / name).read_bytes())
+        out = where / "out"
+        assert main(["--config", str(where / "pdt_info_empirical.json"),
+                     "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["wall_time_s"]
+        manifests.append(manifest)
+    assert manifests[0] == manifests[1]
+    assert manifests[0]["ingestion"][0]["path"] == "fading_sample.csv"
+
+
 def test_run_returns_manifest(tmp_path):
     manifest = run(_bell_config(), str(tmp_path / "out"))
     assert manifest["artifacts"] == ["bell.csv"]

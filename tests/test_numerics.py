@@ -158,6 +158,51 @@ def test_integrate2_diagonal_cusp():
     assert value == pytest.approx(8.0 / 15.0, rel=1e-8)
 
 
+def test_integrate2_reuses_inner_partition_across_outer_levels():
+    # Both hard spots sit at fixed places (sqrt(x) at x = 0, 1/sqrt(y) at
+    # y = 0), so each batch of outer nodes can start its inner integral
+    # where the previous batch ended instead of bisecting down again.
+    calls = []
+
+    def f(x, y):
+        calls.append(1)
+        return np.exp(-x * y) * np.sqrt(x) / np.sqrt(y)
+
+    value = integrate2(f, 0.0, 1.0, 0.0, 1.0)
+    # Termwise in the series of exp(-xy):
+    # sum_n (-1)^n / n! / ((n + 3/2)(n + 1/2)).
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        exact = float(mpmath.nsum(
+            lambda n: (-1) ** n / mpmath.factorial(n) / ((n + 1.5) * (n + 0.5)),
+            [0, mpmath.inf],
+        ))
+    assert value == pytest.approx(exact, rel=1e-9)
+    # Starting every inner integral from the single panel took 730 calls.
+    assert len(calls) <= 150
+
+
+def test_integrate2_depth_budget_holds_after_warm_start():
+    # The first batch of outer nodes sees a faint cusp at y = 1/pi and
+    # refines it within the budget; a later batch, closer to the bump at
+    # x = 0.55, needs more depth there than the budget leaves.
+    spec = QuadratureSpec(max_depth=12)
+    batches = []
+
+    def f(x, y):
+        batches.append(x.shape[0])
+        bump = np.exp(-(((x - 0.55) / 0.02) ** 2))
+        return 1.0 + bump * np.sqrt(np.abs(y - 1.0 / math.pi))
+
+    with pytest.raises(QuadratureAccuracyError) as err:
+        integrate2(f, 0.0, 1.0, 0.0, 1.0, spec)
+    assert max(batches) > 15  # it failed after the first outer level
+    assert np.all(np.isfinite(err.value.estimate))
+    assert err.value.error_bound > 0.0
+    # With a larger budget the same integral succeeds.
+    assert math.isfinite(integrate2(f, 0.0, 1.0, 0.0, 1.0, QuadratureSpec(max_depth=16)))
+
+
 def test_integrate_is_deterministic():
     f = lambda x: np.sqrt(np.abs(np.sin(13.0 * x)))
     assert integrate(f, 0.0, 2.0) == integrate(f, 0.0, 2.0)

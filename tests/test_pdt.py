@@ -187,6 +187,35 @@ def test_lognormal_tail_survival_against_mpmath(mu, sigma, lo):
     np.testing.assert_allclose(dist.survival(etas), expected, rtol=1e-11, atol=0.0)
 
 
+@pytest.mark.parametrize("mu,sigma,lo", [(-0.54, 0.94, 0.0)] + TAIL_LAWS)
+@pytest.mark.parametrize("gap", [1e-3, 1e-5, 1e-7, 1e-9])
+def test_lognormal_survival_near_one_against_mpmath(mu, sigma, lo, gap):
+    # P(X > 1 - gap) is a difference of two nearly equal normal CDFs.
+    dist = TruncatedLogNormal(mu, sigma, lo)
+    eta = 1.0 - gap
+    expected = (mp_lognormal_mass(mu, sigma, eta, 1.0)
+                / mp_lognormal_mass(mu, sigma, lo, 1.0))
+    assert dist.survival(eta) == pytest.approx(float(expected), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("mu,sigma", [(-0.54, 0.94), (-5.0, 0.3), (2.0, 0.3)])
+@pytest.mark.parametrize("gap", [1e-4, 1e-7, 1e-10])
+def test_lognormal_truncated_near_one_against_mpmath(mu, sigma, gap):
+    # The mass of [1 - gap, 1] cancels the same way as the survival.
+    dist = TruncatedLogNormal(mu, sigma).truncate(1.0 - gap)
+    mass = mp_lognormal_mass(mu, sigma, dist.lo, 1.0)
+    for k in (0.5, 1.0, 2.0):
+        with mp.workdps(60):
+            # E[X^k; lo <= X <= 1] is the mass of the law shifted by k sigma^2.
+            shifted = mp.mpf(mu) + k * mp.mpf(sigma) ** 2
+            scale = mp.exp(k * mp.mpf(mu) + k * k * mp.mpf(sigma) ** 2 / 2)
+        expected = scale * mp_lognormal_mass(shifted, sigma, dist.lo, 1.0) / mass
+        assert dist.moment(k) == pytest.approx(float(expected), rel=1e-13, abs=0.0)
+    eta = 1.0 - 0.5 * gap
+    expected = mp_lognormal_mass(mu, sigma, eta, 1.0) / mass
+    assert dist.survival(eta) == pytest.approx(float(expected), rel=1e-13, abs=0.0)
+
+
 def test_lognormal_upper_tail_survival_is_not_zero():
     value = TruncatedLogNormal(-5.0, 0.3, 0.05).survival(0.1)
     mass = mp_lognormal_mass(-5.0, 0.3, 0.05, 1.0)
@@ -438,6 +467,23 @@ def test_product_average_continuous_matches_factorization():
     assert value == pytest.approx(
         joint.a.moment(0.5) * joint.b.moment(1.0), rel=1e-9
     )
+
+
+def test_product_average_of_two_edge_cusps_is_cheap():
+    # Both densities have a power-law cusp at 0 (x**-0.4 and y**0.4), in
+    # fixed places, so every inner integral starts from the partition of
+    # y the previous batch of outer nodes found.
+    joint = Product(Beta(0.6, 3.0), Beta(1.4, 2.0))
+    calls = []
+
+    def f(x, y):
+        calls.append(1)
+        return np.sqrt(x) * y
+
+    value = joint.average(f)
+    assert value == pytest.approx(joint.a.moment(0.5) * joint.b.moment(1.0), rel=1e-9)
+    # Refining every inner integral from one panel took 160 calls.
+    assert len(calls) <= 40
 
 
 def test_product_average_resolves_beta_edge_cusp():

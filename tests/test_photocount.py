@@ -270,6 +270,24 @@ def test_sub_poisson_bound_uniform_is_four():
     assert mandel_out(-1.0, 4.1, Beta(1.0, 1.0), det) > 0.0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda det: mandel_out(math.nan, 1.0, Beta(2.0, 3.0), det),
+        lambda det: mandel_out(-0.5, math.nan, Beta(2.0, 3.0), det),
+        lambda det: mandel_out(-0.5, math.inf, Beta(2.0, 3.0), det),
+        lambda det: mandel_out(-math.inf, 1.0, Beta(2.0, 3.0), det),
+        lambda det: sub_poisson_bound(math.nan, Beta(2.0, 3.0)),
+        lambda det: sub_poisson_bound(-math.inf, Beta(2.0, 3.0)),
+    ],
+    ids=["mandel-q-nan", "mandel-n-nan", "mandel-n-inf", "mandel-q-neg-inf",
+         "bound-q-nan", "bound-q-neg-inf"],
+)
+def test_closed_forms_reject_non_finite_inputs(call):
+    with pytest.raises(ValueError, match="finite"):
+        call(DetectorModel(efficiency=0.7, noise_counts=0.1))
+
+
 def test_sub_poisson_bound_edge_cases():
     assert sub_poisson_bound(-0.4, Dirac(0.6)) == math.inf
     with pytest.raises(ValueError):
