@@ -21,15 +21,28 @@ so the same panel subdivision (and for atomic laws the same exact sum)
 feeds every correlation coefficient.  This keeps the zero-squeezing limit
 exact: at squeezing = 0 every component of the integrand is the constant
 1, P_same = P_different for all angles, and the Bell parameter is 0 to
-machine precision.  The analyzer angles enter C_same and C_different only
-through sin^2 and cos^2 of the angle difference, so the integrand carries
-one component per distinct value of those factors (3 for the default
-CHSH angles) plus three angle-free ones, and each angle pair reads its two
-averages from that set.
+machine precision.
 
-C_0 has the closed lower bound [(1-t)(1-t(1-u_min))]^2 over the support
-(u = x + y - x*y is monotone in both transmittances), so the integrand is
-certified nonsingular before any quadrature runs; channels pushed into the
+The polynomials factor.  With u = 1 - t = sech^2(squeezing),
+a = t(1 - x), b = t(1 - y) and g = 1 - t(1 - x)(1 - y),
+
+    C_0 = u^2 g^2,   C_0 + C_1A = u^2 g (1 - a),   C_0 + C_1B = u^2 g (1 - b),
+    D + C_k = u^2 [u g + (1 - f_k) t x y],   D = C_0 + C_1A + C_1B,
+
+where f_k is sin^2 (C_same) or cos^2 (C_different) of the angle
+difference.  Every piece is a sum of nonnegative terms (1 - a = u + t x,
+g = u + t x + t y (1 - x)), so nothing cancels as t -> 1.  The integrand
+therefore has one component u^-2 / [u g + (1 - f_k) t x y] per distinct
+value of f_k (3 for the default CHSH angles), and each angle pair reads
+its two averages from that set; then u^-2 / (1 - a)^2 and
+u^-2 / (1 - b)^2, which depend on one arm each and are computed on that
+arm's axis before broadcasting; and u^-2 / g^2.  g and x y are the only
+two-arm products a call forms, and each component is written once into
+one output buffer.
+
+C_0 has the closed lower bound u^2 g^2 at the support's infimum (g is
+increasing in both transmittances), so the integrand is certified
+nonsingular before any quadrature runs; channels pushed into the
 singular regime (t -> 1 with lossy support) raise
 :class:`BellSingularityError` instead of returning garbage.
 """
@@ -103,15 +116,22 @@ def _tanh2(squeezing):
     return th * th
 
 
-def _pair_terms(x, y, t):
-    """C_0, C_1A, C_1B and the angle-free factors of C_same / C_different."""
-    s = x * y * t - (1.0 + (x - 1.0) * t) * (1.0 + (y - 1.0) * t)
-    c0 = s * s
-    c1a = y * (1.0 - x) * (1.0 - t) * t * s
-    c1b = x * (1.0 - y) * (1.0 - t) * t * s
-    common = x * y * t * (1.0 - t) ** 2
-    joint_vac = (1.0 - x) * (1.0 - y) * t
-    return c0, c1a, c1b, common, joint_vac
+def _sech2(squeezing):
+    """1 - tanh^2(squeezing), formed as sech^2 so it keeps its digits as t -> 1."""
+    e = math.exp(-squeezing)
+    sech = 2.0 * e / (1.0 + e * e)
+    return sech * sech
+
+
+def _pieces(x, y, u, t):
+    """(1 - a, 1 - b, g) of the factored polynomials, free of cancellation.
+
+    1 - a = u + t x and 1 - b = u + t y each depend on one arm only;
+    g = 1 - p = (1 - a) + t y (1 - x) is the one two-arm product.
+    """
+    one_minus_a = u + t * x
+    ty = t * y
+    return one_minus_a, u + ty, one_minus_a + ty * (1.0 - x)
 
 
 def _angle_factors(delta):
@@ -119,33 +139,31 @@ def _angle_factors(delta):
     return math.sin(delta) ** 2, math.cos(delta) ** 2
 
 
-def _angle_term(common, joint_vac, factor):
-    """C_same (factor sin^2 delta) or C_different (factor cos^2 delta)."""
-    return common * (joint_vac - factor)
-
-
 def c_terms(eta_a, eta_b, efficiency, squeezing, theta_a, theta_b) -> CTerms:
     """Evaluate the five polynomials; broadcasts over eta arrays."""
     x = efficiency * np.asarray(eta_a, dtype=float)
     y = efficiency * np.asarray(eta_b, dtype=float)
-    c0, c1a, c1b, common, joint_vac = _pair_terms(x, y, _tanh2(squeezing))
-    sin2, cos2 = _angle_factors(theta_a - theta_b)
-    same = _angle_term(common, joint_vac, sin2)
-    different = _angle_term(common, joint_vac, cos2)
+    u, t = _sech2(squeezing), _tanh2(squeezing)
+    _, _, g = _pieces(x, y, u, t)
+    u2g = u * u * g
+    c0 = u2g * g
+    c1a = -u2g * (t * y * (1.0 - x))
+    c1b = -u2g * (t * x * (1.0 - y))
+    common = u * u * t * x * y
+    p = t * (1.0 - x) * (1.0 - y)
+    same, different = (common * (p - f) for f in _angle_factors(theta_a - theta_b))
     if np.ndim(eta_a) == 0 and np.ndim(eta_b) == 0:
         return CTerms(float(c0), float(c1a), float(c1b), float(same), float(different))
     return CTerms(c0, c1a, c1b, same, different)
 
 
 def _min_c0(settings: BellSettings):
-    """Closed-form lower bound of C_0 over the channel support."""
-    t = _tanh2(settings.squeezing)
+    """Closed-form lower bound u^2 g^2 of C_0 over the channel support."""
+    u, t = _sech2(settings.squeezing), _tanh2(settings.squeezing)
     inf_a, inf_b = settings.channel.support_inf
-    x = settings.detector.efficiency * inf_a
-    y = settings.detector.efficiency * inf_b
-    u_min = x + y - x * y
-    root = (1.0 - t) * (1.0 - t * (1.0 - u_min))
-    return root * root
+    eff = settings.detector.efficiency
+    _, _, g = _pieces(eff * inf_a, eff * inf_b, u, t)
+    return (u * g) ** 2
 
 
 def _guard_singularity(settings: BellSettings):
@@ -174,7 +192,7 @@ def _reciprocal_averages(settings, angle_pairs, spec):
     and errors, so dropping it leaves the panel subdivision unchanged.
     """
     _guard_singularity(settings)
-    t = _tanh2(settings.squeezing)
+    u, t = _sech2(settings.squeezing), _tanh2(settings.squeezing)
     eff = settings.detector.efficiency
     factors = []
     index = []  # per angle pair: (component of C_same, component of C_different)
@@ -190,15 +208,23 @@ def _reciprocal_averages(settings, angle_pairs, spec):
     def integrand(eta_a, eta_b):
         x = eff * np.asarray(eta_a, dtype=float)
         y = eff * np.asarray(eta_b, dtype=float)
-        x, y = np.broadcast_arrays(x, y)
-        c0, c1a, c1b, common, joint_vac = _pair_terms(x, y, t)
-        d = c0 + c1a + c1b
-        out = np.empty(x.shape + (n + 3,))
+        one_minus_a, one_minus_b, g = _pieces(x, y, u, t)
+        u3g = g * u**3
+        u2txy = (u * u * t * x) * y
+        out = np.empty(u3g.shape + (n + 3,))
+        # Each component is formed in a contiguous scratch array and
+        # written once into its strided column of ``out``.
+        col = np.empty(u3g.shape)
+        # 1/(D + C_k) = 1/(u^3 g + (1 - f_k) u^2 t x y)
         for k, factor in enumerate(factors):
-            out[..., k] = 1.0 / (d + _angle_term(common, joint_vac, factor))
-        out[..., n] = c0 / (c0 + c1a) ** 2
-        out[..., n + 1] = c0 / (c0 + c1b) ** 2
-        out[..., n + 2] = 1.0 / c0
+            np.multiply(u2txy, 1.0 - factor, out=col)
+            col += u3g
+            np.reciprocal(col, out=out[..., k])
+        # The one-arm terms broadcast from that arm's axis.
+        out[..., n] = (u * one_minus_a) ** -2
+        out[..., n + 1] = (u * one_minus_b) ** -2
+        np.divide(u * u, u3g, out=col)  # u^-2 / g^2 = (u^2 / u^3 g)^2
+        np.multiply(col, col, out=out[..., n + 2])
         return out
 
     averages = np.asarray(settings.channel.average(integrand, spec), dtype=float)

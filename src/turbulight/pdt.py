@@ -646,10 +646,16 @@ def _average_product(da, db, f, spec):
 
         return db.expectation(weighted, spec)
     (lo_a, hi_a), (lo_b, hi_b) = da.support, db.support
+    # The inner integral calls the integrand several times with one batch
+    # of outer nodes; their density is kept, keyed on the node values.
+    outer = [None, None]
 
     def integrand(x, y):
         values = np.asarray(f(x, y))
-        w = da.density(x.ravel())[:, None] * db.density(y.ravel())[None, :]
+        x = x.ravel()
+        if not np.array_equal(x, outer[0]):
+            outer[:] = x.copy(), da.density(x)
+        w = outer[1][:, None] * db.density(y.ravel())[None, :]
         return values * w.reshape(w.shape + (1,) * (values.ndim - 2))
 
     return integrate2(integrand, lo_a, hi_a, lo_b, hi_b, spec)

@@ -73,22 +73,48 @@ def squeezed_vacuum_fock_moments(squeezing, angle=0.0, n_terms=None):
 # ---------------------------------------------------------------------------
 
 
-def mp_c_terms(eta_a, eta_b, eta_c, squeezing, theta_a, theta_b):
-    """C polynomials at one transmittance realization, mpmath scalars."""
-    t = mp.tanh(squeezing) ** 2
-    x = eta_c * eta_a
-    y = eta_c * eta_b
-    s = x * y * t - (1 + (x - 1) * t) * (1 + (y - 1) * t)
-    c0 = s**2
-    c1a = y * (1 - x) * (1 - t) * t * s
-    c1b = x * (1 - y) * (1 - t) * t * s
-    c_same = x * y * t * (1 - t) ** 2 * (
-        (1 - x) * (1 - y) * t - mp.sin(theta_a - theta_b) ** 2
-    )
-    c_diff = x * y * t * (1 - t) ** 2 * (
-        (1 - x) * (1 - y) * t - mp.cos(theta_a - theta_b) ** 2
-    )
-    return c0, c1a, c1b, c_same, c_diff
+def mp_c_terms(eta_a, eta_b, eta_c, squeezing, theta_a, theta_b, dps=60):
+    """C polynomials at one transmittance realization, mpmath scalars.
+
+    Every input becomes an mpf before any arithmetic, so the products and
+    differences that cancel at large squeezing are formed in ``dps`` digits.
+    """
+    with mp.workdps(dps):
+        eta_a, eta_b, eta_c, squeezing, theta_a, theta_b = (
+            mp.mpf(v) for v in (eta_a, eta_b, eta_c, squeezing, theta_a, theta_b)
+        )
+        t = mp.tanh(squeezing) ** 2
+        x = eta_c * eta_a
+        y = eta_c * eta_b
+        s = x * y * t - (1 + (x - 1) * t) * (1 + (y - 1) * t)
+        c0 = s**2
+        c1a = y * (1 - x) * (1 - t) * t * s
+        c1b = x * (1 - y) * (1 - t) * t * s
+        c_same = x * y * t * (1 - t) ** 2 * (
+            (1 - x) * (1 - y) * t - mp.sin(theta_a - theta_b) ** 2
+        )
+        c_diff = x * y * t * (1 - t) ** 2 * (
+            (1 - x) * (1 - y) * t - mp.cos(theta_a - theta_b) ** 2
+        )
+        return c0, c1a, c1b, c_same, c_diff
+
+
+def mp_reciprocal_averages(eta_a, eta_b, eta_c, squeezing, angle_pairs, dps=60):
+    """The Bell integrand's components at one realization, mpmath scalars.
+
+    Per angle pair 1/(D + C_same) and 1/(D + C_different), then
+    C_0/(C_0 + C_1A)^2, C_0/(C_0 + C_1B)^2 and 1/C_0, with D = C_0 + C_1A + C_1B.
+    """
+    with mp.workdps(dps):
+        out = []
+        for theta_a, theta_b in angle_pairs:
+            c0, c1a, c1b, c_same, c_diff = mp_c_terms(
+                eta_a, eta_b, eta_c, squeezing, theta_a, theta_b, dps
+            )
+            d = c0 + c1a + c1b
+            out += [1 / (d + c_same), 1 / (d + c_diff)]
+        out += [c0 / (c0 + c1a) ** 2, c0 / (c0 + c1b) ** 2, 1 / c0]
+        return [float(v) for v in out]
 
 
 def mp_click_probabilities(eta_a, eta_b, eta_c, noise, squeezing,

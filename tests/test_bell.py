@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import mc_bell_parameter, mp_c_terms, mp_click_probabilities
+from oracles import (
+    mc_bell_parameter,
+    mp_c_terms,
+    mp_click_probabilities,
+    mp_reciprocal_averages,
+)
 from turbulight.bell import (
     DEFAULT_ANGLES_A,
     DEFAULT_ANGLES_B,
@@ -17,6 +22,7 @@ from turbulight.bell import (
     click_probabilities,
     correlation,
     _click_pair,
+    _reciprocal_averages,
 )
 from turbulight.numerics import DEFAULT_QUADRATURE, RandomSource
 from turbulight.pdt import (
@@ -42,16 +48,33 @@ def _settings(squeezing, channel, efficiency=1.0, noise=0.0, **kw):
         (0.3, 0.7, 0.6, 0.4, 0.0, math.pi / 8),
         (1.0, 1.0, 1.0, 0.1, math.pi / 4, 3 * math.pi / 8),
         (0.9, 0.2, 0.75, 1.1, -0.3, 0.9),
+        # 1 - tanh^2 cancels here; the factored form takes it as sech^2.
+        (0.3, 0.7, 0.6, 4.0, 0.0, math.pi / 8),
+        (0.9, 0.2, 0.75, 6.0, -0.3, 0.9),
     ],
 )
 def test_conditional_polynomials_match_reference(eta_a, eta_b, eta_c,
                                                  squeezing, theta_a, theta_b):
     got = c_terms(eta_a, eta_b, eta_c, squeezing, theta_a, theta_b)
     ref = mp_c_terms(eta_a, eta_b, eta_c, squeezing, theta_a, theta_b)
-    for val, expected in zip(
-        (got.c0, got.c1a, got.c1b, got.same, got.different), ref
-    ):
+    for val, expected in zip((got.c0, got.c1a, got.c1b), ref[:3]):
+        assert val == pytest.approx(float(expected), rel=1e-14, abs=0)
+    for val, expected in zip((got.same, got.different), ref[3:]):
         assert val == pytest.approx(float(expected), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("squeezing", [0.02, 0.5, 2.0, 3.0])
+def test_integrand_components_match_high_precision(squeezing):
+    pairs = [(ta, tb) for ta in DEFAULT_ANGLES_A for tb in DEFAULT_ANGLES_B]
+    for eta_a, eta_b, efficiency in ((0.83, 0.61, 0.9), (0.05, 0.1, 0.9)):
+        channel = Product(Dirac(eta_a), Dirac(eta_b))
+        settings = _settings(squeezing, channel, efficiency=efficiency)
+        per_pair, a2, a3, a4 = _reciprocal_averages(
+            settings, pairs, DEFAULT_QUADRATURE
+        )
+        got = [v for pair in per_pair for v in pair] + [a2, a3, a4]
+        expected = mp_reciprocal_averages(eta_a, eta_b, efficiency, squeezing, pairs)
+        assert got == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 def test_click_probabilities_match_high_precision_reference():
