@@ -34,6 +34,15 @@ That inner integral is warm-started: each batch of outer nodes refines the
 partition of y the previous batch ended with, not a single panel, under
 the same tolerance and depth budget.
 
+Refinement starts from one panel on [a, b] unless the caller passes
+interior breakpoints (``points``; ``points_x`` / ``points_y`` for the two
+axes of :func:`integrate2`), as in QUADPACK's ``qagp``: the starting panels
+then run between consecutive breakpoints, all at depth 0.  A peak much
+narrower than the first panel, whose 15 nodes all miss it, reads ~0 in
+both K15 and G7 and is never refined; breakpoints that bracket it let the
+rule see it.  The transmittance laws supply such breakpoints for their own
+peaks (``TransmittanceDistribution.edges``).
+
 If the depth budget runs out before the tolerance is met, the integrator
 raises :class:`QuadratureAccuracyError` carrying its best estimate and a
 bound on the remaining error, so callers can fail loudly instead of
@@ -47,6 +56,7 @@ which is what the Monte Carlo cross-checks in the test suite rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,7 +181,7 @@ def _panels_1d(f, lo, hi):
     return kg[:, 0].reshape(lo.shape + fx.shape[1:]), err
 
 
-def integrate(f, a, b, spec=DEFAULT_QUADRATURE):
+def integrate(f, a, b, spec=DEFAULT_QUADRATURE, points=()):
     """Adaptively integrate a vectorized function over [a, b].
 
     Parameters
@@ -184,6 +194,14 @@ def integrate(f, a, b, spec=DEFAULT_QUADRATURE):
         Integration limits, a <= b.  Endpoints are never evaluated.
     spec : QuadratureSpec
         Tolerances and subdivision budget.
+    points : sequence of float
+        Interior breakpoints, as in QUADPACK's ``qagp``: refinement starts
+        from the panels between consecutive points instead of from [a, b]
+        alone.  Points outside the open interval (a, b) are dropped and
+        repeated points merged; every starting panel has depth 0.  Points
+        that bracket a peak the first panel would miss let the rule find
+        it.  A point at its centre alone does not: no node comes within
+        0.4 % of a panel's width of its ends.
 
     Returns
     -------
@@ -192,6 +210,8 @@ def integrate(f, a, b, spec=DEFAULT_QUADRATURE):
 
     Raises
     ------
+    ValueError
+        If a limit or a point is not finite, or b < a.
     QuadratureAccuracyError
         If the subdivision budget is exhausted first; the exception carries
         the best estimate and an error bound.
@@ -203,7 +223,10 @@ def integrate(f, a, b, spec=DEFAULT_QUADRATURE):
     same values and agree.  For an integrand singular at an endpoint the
     "meets its tolerance or raises" promise therefore does not hold:
     ``integrate(lambda y: 1 / np.sqrt(1 - y), 0, 1)`` returns 2 - 1.05e-8
-    (5.3e-9 relative against ``rel_tol`` 1e-9) without raising.
+    (5.3e-9 relative against ``rel_tol`` 1e-9) without raising.  Nor can
+    the rule find a peak far narrower than its starting panels whose nodes
+    all miss it: K15 and G7 then both read ~0.  Bracket such a peak with
+    ``points``.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("integration limits must be finite")
@@ -212,13 +235,22 @@ def integrate(f, a, b, spec=DEFAULT_QUADRATURE):
     if a == b:
         return 0.0
 
-    result, _ = _refine(f, *_one_panel(a, b), spec)
+    result, _ = _refine(f, *_partition(a, b, points), spec)
     return result
 
 
-def _one_panel(a, b):
-    """The partition (lo, hi, depth) of [a, b] into one panel."""
-    return np.array([float(a)]), np.array([float(b)]), np.zeros(1, dtype=int)
+def _partition(a, b, points):
+    """The partition (lo, hi, depth) of [a, b] at the points inside (a, b).
+
+    Points outside the open interval are dropped and repeated ones merged;
+    every panel has depth 0.  Non-finite points raise ``ValueError``.
+    """
+    if not all(math.isfinite(p) for p in points):
+        raise ValueError("breakpoints must be finite")
+    inside = sorted({float(p) for p in points if a < p < b})
+    lo = np.array([a, *inside], dtype=float)
+    hi = np.array([*inside, b], dtype=float)
+    return lo, hi, np.zeros(lo.size, dtype=int)
 
 
 def _refine(f, lo, hi, depth, spec):
@@ -284,7 +316,7 @@ def _refine(f, lo, hi, depth, spec):
     return result, (lo[order], hi[order], depth[order])
 
 
-def integrate2(f, ax, bx, ay, by, spec=DEFAULT_QUADRATURE):
+def integrate2(f, ax, bx, ay, by, spec=DEFAULT_QUADRATURE, points_x=(), points_y=()):
     """Integrate over the rectangle [ax, bx] x [ay, by] as an iterated integral.
 
     The outer :func:`integrate` runs over x; for each batch of outer nodes
@@ -292,11 +324,13 @@ def integrate2(f, ax, bx, ay, by, spec=DEFAULT_QUADRATURE):
     components are those nodes, so each axis is refined only where it needs
     it.  Each inner integral starts from the partition of y the previous
     batch ended with (panel depths included), so hard spots at fixed y are
-    found once, not once per outer level.  Both levels use ``spec``, and an
-    inner failure propagates as :class:`QuadratureAccuracyError`.  ``f``
-    must broadcast over a column of x values against a row of y values and
-    may be vector valued (trailing axes beyond the first two are carried
-    through).
+    found once, not once per outer level.  ``points_x`` and ``points_y`` are
+    interior breakpoints of each axis, with the meaning they have in
+    :func:`integrate`: the outer integral starts from ``points_x``, the first
+    inner one from ``points_y``.  Both levels use ``spec``, and an inner
+    failure propagates as :class:`QuadratureAccuracyError`.  ``f`` must
+    broadcast over a column of x values against a row of y values and may be
+    vector valued (trailing axes beyond the first two are carried through).
     """
     for v in (ax, bx, ay, by):
         if not np.isfinite(v):
@@ -306,7 +340,7 @@ def integrate2(f, ax, bx, ay, by, spec=DEFAULT_QUADRATURE):
     if ax == bx or ay == by:
         return 0.0
 
-    partition = _one_panel(ay, by)
+    partition = _partition(ay, by, points_y)
 
     def over_y(x):
         nonlocal partition
@@ -323,7 +357,7 @@ def integrate2(f, ax, bx, ay, by, spec=DEFAULT_QUADRATURE):
         inner, partition = _refine(column, *partition, spec)
         return np.moveaxis(np.asarray(inner), -1, 0)
 
-    return integrate(over_y, ax, bx, spec)
+    return integrate(over_y, ax, bx, spec, points=points_x)
 
 
 _MASK64 = (1 << 64) - 1

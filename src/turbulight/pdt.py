@@ -66,6 +66,9 @@ _NEAR_ONE_DZ = 1e-2
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 _GL_NODES, _GL_WEIGHTS = 0.5 * (1.0 + _GL_NODES), 0.5 * _GL_WEIGHTS
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# z-scores of the log-normal quadrature edges exp(mu + z sigma): the median,
+# the flanks of the peak and its far tails.
+_LOG_NORMAL_EDGE_Z = (-8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0)
 
 
 def _normal_mass_below(z, dz):
@@ -102,8 +105,10 @@ class TransmittanceDistribution:
 
     Concrete subclasses implement ``moment``, ``survival``, ``sample``,
     ``truncate`` and either ``atoms`` (atomic laws) or ``density`` with
-    ``support`` (continuous laws).  ``scale`` wraps the law in
-    :class:`Scaled` unless a subclass has a closed form for it.
+    ``support`` (continuous laws).  A continuous law may also give
+    ``edges``, breakpoints where every adaptive average over it starts
+    (default: none).  ``scale`` wraps the law in :class:`Scaled` unless a
+    subclass has a closed form for it.
     Everything here is immutable and safe to share between threads.
     """
 
@@ -146,6 +151,16 @@ class TransmittanceDistribution:
         """(inf, sup) of the support."""
         raise NotImplementedError
 
+    @property
+    def edges(self):
+        """Breakpoints for quadrature over the law, e.g. around its peak.
+
+        Adaptive averages start from the panels between them, so a peak far
+        narrower than the support is not missed; points outside the
+        support are ignored.
+        """
+        return ()
+
     # ---- shared helpers ------------------------------------------------
 
     def mean(self, spec=DEFAULT_QUADRATURE):
@@ -180,7 +195,7 @@ class TransmittanceDistribution:
             dens = self.density(x)
             return values * dens.reshape(dens.shape + (1,) * (values.ndim - 1))
 
-        return integrate(integrand, lo, hi, spec)
+        return integrate(integrand, lo, hi, spec, points=self.edges)
 
 
 @dataclass(frozen=True)
@@ -514,6 +529,12 @@ class TruncatedLogNormal(TransmittanceDistribution):
     def support(self):
         return (self.lo, 1.0)
 
+    @property
+    def edges(self):
+        # Taken in log space, so no edge above 1 can overflow.
+        logs = (self.mu + z * self.sigma for z in _LOG_NORMAL_EDGE_Z)
+        return tuple(math.exp(v) for v in logs if v < 0.0)
+
 
 @dataclass(frozen=True)
 class Scaled(TransmittanceDistribution):
@@ -577,6 +598,10 @@ class Scaled(TransmittanceDistribution):
     def support(self):
         lo, hi = self.inner.support
         return (lo * self.factor, hi * self.factor)
+
+    @property
+    def edges(self):
+        return tuple(e * self.factor for e in self.inner.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +683,9 @@ def _average_product(da, db, f, spec):
         w = outer[1][:, None] * db.density(y.ravel())[None, :]
         return values * w.reshape(w.shape + (1,) * (values.ndim - 2))
 
-    return integrate2(integrand, lo_a, hi_a, lo_b, hi_b, spec)
+    return integrate2(
+        integrand, lo_a, hi_a, lo_b, hi_b, spec, points_x=da.edges, points_y=db.edges
+    )
 
 
 @dataclass(frozen=True)

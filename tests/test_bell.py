@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -185,25 +186,33 @@ ANGLE_SETS = {
 }
 
 
+def _chsh_from_averages(noise, squeezing, averages):
+    """CHSH from the 11 averaged components of ``mp_reciprocal_averages``."""
+    t = math.tanh(squeezing) ** 2
+    a2, a3, a4 = averages[8:]
+    e = []
+    for i in range(4):
+        p_same, p_diff = _click_pair(noise, t, averages[2 * i], averages[2 * i + 1], a2, a3, a4)
+        e.append((p_same - p_diff) / (p_same + p_diff))
+    e11, e12, e21, e22 = e
+    return abs(e11 - e12) + abs(e22 + e21)
+
+
 def _exact_chsh(law_a, law_b, efficiency, noise, squeezing, angles_a, angles_b):
     """CHSH as a finite sum over atom pairs, each angle pair on its own."""
     ea, wa = np.array([e for e, _ in law_a.atoms]), np.array([w for _, w in law_a.atoms])
     eb, wb = np.array([e for e, _ in law_b.atoms]), np.array([w for _, w in law_b.atoms])
     w = wa[:, None] * wb[None, :]
-    t = math.tanh(squeezing) ** 2
-    e = {}
+    averages = []
     for ta in angles_a:
         for tb in angles_b:
             c = c_terms(ea[:, None], eb[None, :], efficiency, squeezing, ta, tb)
             d = c.c0 + c.c1a + c.c1b
-            averages = [np.sum(w * v) for v in (
-                1.0 / (d + c.same), 1.0 / (d + c.different),
-                c.c0 / (c.c0 + c.c1a) ** 2, c.c0 / (c.c0 + c.c1b) ** 2, 1.0 / c.c0,
-            )]
-            p_same, p_diff = _click_pair(noise, t, *averages)
-            e[ta, tb] = (p_same - p_diff) / (p_same + p_diff)
-    (a1, a2), (b1, b2) = angles_a, angles_b
-    return abs(e[a1, b1] - e[a1, b2]) + abs(e[a2, b2] + e[a2, b1])
+            averages += [np.sum(w * (1.0 / (d + c.same))), np.sum(w * (1.0 / (d + c.different)))]
+    averages += [np.sum(w * v) for v in (
+        c.c0 / (c.c0 + c.c1a) ** 2, c.c0 / (c.c0 + c.c1b) ** 2, 1.0 / c.c0,
+    )]
+    return _chsh_from_averages(noise, squeezing, averages)
 
 
 class _WidthSpy(Product):
@@ -239,6 +248,57 @@ def test_bell_parameter_matches_per_pair_exact_sum(angle_set, laws):
     # One component per distinct sin^2 / cos^2 factor, plus three.
     assert _WidthSpy.widths == [distinct + 3]
 
+
+
+# Narrow log-normal arms of the benchmark's defect census (sigma ~ 0.016 in
+# ln eta): the first 15-node panel on [0, 1] misses their peaks, and before
+# the laws supplied their edges to the integrators every average read ~0.
+NARROW_A = TruncatedLogNormal(-1.771, 0.01616)
+NARROW_B = TruncatedLogNormal(-1.735, 0.01578)
+
+
+def _mp_lognormal_chsh(law, efficiency, noise, squeezing):
+    """CHSH on PerfectlyCorrelated(law) by mpmath quadrature in z = (ln eta - mu)/sigma.
+
+    Conditioning on eta <= 1 cuts the normal at z = -mu/sigma > 100, and
+    [-12, 12] holds all but 1e-32 of its mass.
+    """
+    assert law.lo == 0.0 and -law.mu / law.sigma > 12.0
+    pairs = [(ta, tb) for ta in DEFAULT_ANGLES_A for tb in DEFAULT_ANGLES_B]
+    cache = {}
+
+    def component(i, z):
+        if z not in cache:
+            eta = float(mp.exp(law.mu + law.sigma * z))
+            cache[z] = mp_reciprocal_averages(eta, eta, efficiency, squeezing, pairs)
+        return mp.npdf(z) * cache[z][i]
+
+    averages = [float(mp.quad(lambda z: component(i, z), [-12, 0, 12])) for i in range(11)]
+    return _chsh_from_averages(noise, squeezing, averages)
+
+
+def test_narrow_lognormal_correlated_sweep_matches_mpmath():
+    grid = [0.025, 0.25, 0.55, 0.79]
+    settings = _settings(0.0, PerfectlyCorrelated(NARROW_A), efficiency=0.83, noise=8.4e-5)
+    points = bell_sweep(settings, squeezing_grid=grid)
+    expected = [_mp_lognormal_chsh(NARROW_A, 0.83, 8.4e-5, xi) for xi in grid]
+    assert [p.value for p in points] == pytest.approx(expected, rel=1e-9)
+
+
+def test_narrow_lognormal_product_point_matches_tensor_rule():
+    # Reference: each arm's law as 40 Gauss-Hermite atoms in z, summed pair
+    # by pair through c_terms; the integrand is smooth in z, so this
+    # converges far below the tolerance.
+    z, w = np.polynomial.hermite_e.hermegauss(40)
+
+    def atoms(law):
+        return Empirical(tuple(np.exp(law.mu + law.sigma * z)), tuple(w))
+
+    settings = _settings(0.08414, Product(NARROW_A, NARROW_B), efficiency=0.9, noise=1e-4)
+    expected = _exact_chsh(atoms(NARROW_A), atoms(NARROW_B), 0.9, 1e-4, 0.08414,
+                           DEFAULT_ANGLES_A, DEFAULT_ANGLES_B)
+    assert expected == pytest.approx(2.79, abs=0.01)
+    assert bell_parameter(settings) == pytest.approx(expected, rel=1e-9)
 
 def test_extreme_squeezing_triggers_singularity_guard():
     settings = _settings(8.0, Product(Beta(2.0, 2.0), Beta(2.0, 2.0)))

@@ -202,6 +202,111 @@ def test_integrate2_depth_budget_holds_after_warm_start():
     # With a larger budget the same integral succeeds.
     assert math.isfinite(integrate2(f, 0.0, 1.0, 0.0, 1.0, QuadratureSpec(max_depth=16)))
 
+# A bump far narrower than the first panel: its 15 nodes on [0, 1] all miss
+# it, so K15 and G7 both read ~0 and nothing is refined.  Points must
+# bracket it: no node comes within 0.4 % of a panel's width of its ends, so
+# a point at the centre alone leaves the rule blind (1e-111), and points two
+# widths either side miss the 0.5 % of mass beyond them without a raise.
+_BUMP_AT, _BUMP_WIDTH = 0.37, 1e-4
+_BUMP_INTEGRAL = math.sqrt(math.pi) * _BUMP_WIDTH  # tails beyond [0, 1] < 1e-300
+_BUMP_POINTS = [_BUMP_AT - 8.0 * _BUMP_WIDTH, _BUMP_AT + 8.0 * _BUMP_WIDTH]
+
+
+def _bump(x):
+    return np.exp(-(((x - _BUMP_AT) / _BUMP_WIDTH) ** 2))
+
+
+def _panel_widths(calls):
+    """Widths of the panels whose nodes were in each recorded call."""
+    nodes = np.concatenate(calls).reshape(-1, 15)
+    # The outermost Kronrod nodes sit at +-0.99145537... of the half-width.
+    return (nodes[:, -1] - nodes[:, 0]) / 0.9914553711208126
+
+
+def test_points_outside_or_repeated_are_dropped():
+    f = lambda x: np.exp(-x) * np.cos(7.0 * x)
+    plain = integrate(f, 0.0, 1.0)
+    # Points at or beyond the limits leave the one starting panel.
+    assert integrate(f, 0.0, 1.0, points=[-1.0, 0.0, 1.0, 2.5]) == plain
+    assert integrate(f, 0.0, 1.0, points=()) == plain
+    # Repeated points are merged: three starting panels, not five.
+    first = []
+
+    def spy(x):
+        first.append(x.size)
+        return f(x)
+
+    merged = integrate(spy, 0.0, 1.0, points=[0.6, 0.25, 0.6, 0.25, 1.0])
+    assert first[0] == 3 * 15
+    assert merged == integrate(f, 0.0, 1.0, points=[0.25, 0.6])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_are_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        integrate(np.exp, 0.0, 1.0, points=[0.5, bad])
+    f = lambda x, y: x + y
+    with pytest.raises(ValueError, match="finite"):
+        integrate2(f, 0.0, 1.0, 0.0, 1.0, points_x=[bad])
+    with pytest.raises(ValueError, match="finite"):
+        integrate2(f, 0.0, 1.0, 0.0, 1.0, points_y=[bad])
+
+
+def test_points_leave_smooth_integrals_unchanged():
+    f = lambda x: np.log1p(x) / (1.0 + x * x)
+    plain = integrate(f, 0.0, 4.0)
+    assert integrate(f, 0.0, 4.0, points=[0.1, 1.0, 3.99]) == pytest.approx(plain, rel=1e-9)
+    g = lambda x, y: np.exp(x * y)
+    plain2 = integrate2(g, 0.0, 1.0, 0.0, 1.0)
+    with_points = integrate2(g, 0.0, 1.0, 0.0, 1.0, points_x=[0.3], points_y=[0.5, 0.9])
+    assert with_points == pytest.approx(plain2, rel=1e-9)
+
+
+def test_point_at_narrow_bump_finds_it():
+    assert integrate(_bump, 0.0, 1.0, points=_BUMP_POINTS) == pytest.approx(
+        _BUMP_INTEGRAL, rel=1e-9
+    )
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_integrate2_point_at_narrow_bump_finds_it(axis):
+    # The bump sits on one axis, a smooth factor with integral 3/2 on the other.
+    if axis == "x":
+        f = lambda x, y: _bump(x) * (1.0 + y)
+        points = dict(points_x=_BUMP_POINTS)
+    else:
+        f = lambda x, y: (1.0 + x) * _bump(y)
+        points = dict(points_y=_BUMP_POINTS)
+    value = integrate2(f, 0.0, 1.0, 0.0, 1.0, **points)
+    assert value == pytest.approx(1.5 * _BUMP_INTEGRAL, rel=1e-9)
+
+
+def test_max_depth_bounds_panels_started_from_points():
+    # Every starting panel has depth 0, so no panel is narrower than its
+    # starting panel times 2**-max_depth, and a cusp that needs more raises.
+    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15, max_depth=4)
+    calls = []
+
+    def cusp(x):
+        calls.append(x)
+        return np.sqrt(np.abs(x - 1.0 / math.pi))
+
+    with pytest.raises(QuadratureAccuracyError):
+        integrate(cusp, 0.0, 1.0, spec, points=[0.25, 0.5])
+    widths = _panel_widths(calls)
+    assert widths.min() == pytest.approx(0.25 * 2.0**-4, rel=1e-12)
+    # The same bound holds along y in integrate2, whose inner partition
+    # starts from points_y.
+    ys = []
+
+    def cusp2(x, y):
+        ys.append(y.ravel())
+        return np.sqrt(np.abs(y - 1.0 / math.pi)) + 0.0 * x
+
+    with pytest.raises(QuadratureAccuracyError):
+        integrate2(cusp2, 0.0, 1.0, 0.0, 1.0, spec, points_y=[0.25, 0.5])
+    assert _panel_widths(ys).min() == pytest.approx(0.25 * 2.0**-4, rel=1e-12)
+
 
 def test_integrate_is_deterministic():
     f = lambda x: np.sqrt(np.abs(np.sin(13.0 * x)))

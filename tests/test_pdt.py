@@ -7,11 +7,12 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import integrate as sp_integrate
+from scipy import special
 
 from turbulight.bell import BellSettings, bell_parameter
-from turbulight.numerics import RandomSource
+from turbulight.numerics import QuadratureAccuracyError, RandomSource
 from turbulight.pdt import (
     AdaptiveCorrelated,
     Beta,
@@ -251,6 +252,58 @@ def test_lognormal_truncation_deep_in_upper_tail():
     with pytest.raises(EmptySelectionError):
         TruncatedLogNormal(-50.0, 0.3).truncate(0.9)
 
+
+
+# sigma = 0.002 in ln eta: the whole peak lies between two nodes of the
+# first 15-node panel on [0, 1].  Started from that one panel, every
+# average over this law read ~0 (expectation(1) gave 2.2e-251).
+NARROW = TruncatedLogNormal(math.log(0.37), 0.002)
+
+
+def test_lognormal_edges_bracket_the_peak():
+    z = np.array([-8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0])
+    np.testing.assert_allclose(NARROW.edges, 0.37 * np.exp(0.002 * z), rtol=1e-15)
+    np.testing.assert_allclose(NARROW.scale(0.5).edges, 0.185 * np.exp(0.002 * z), rtol=1e-15)
+    # Edges at or above 1 are left out, so a wide law cannot overflow.
+    assert len(TruncatedLogNormal(-0.1, 0.5).edges) == 4
+    assert max(TruncatedLogNormal(-1.0, 300.0).edges) == math.exp(-1.0)
+    assert Beta(2.0, 3.0).edges == () and Dirac(0.5).edges == ()
+
+
+def test_narrow_lognormal_expectation_is_normalized():
+    assert NARROW.expectation(np.ones_like) == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("factor", [1.0, 0.5])
+def test_narrow_lognormal_mean_matches_closed_form(factor):
+    law = NARROW.scale(factor)
+    exact = factor * 0.37 * float(mp.exp(mp.mpf(0.002) ** 2 / 2))  # 0.370000740001 * factor
+    assert law.moment(1.0) == pytest.approx(exact, rel=1e-14)
+    assert law.expectation(lambda e: e) == pytest.approx(exact, rel=1e-9)
+
+
+@settings(max_examples=150)
+@given(
+    mu=st.floats(math.log(0.01), math.log(0.9)),
+    sigma=st.floats(1e-4, 3.0),
+    quantile=st.one_of(st.none(), st.floats(0.05, 0.95)),
+    factor=st.one_of(st.just(1.0), st.floats(0.2, 0.99)),
+    k=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+)
+def test_lognormal_expectation_matches_closed_moment_or_raises(mu, sigma, quantile, factor, k):
+    # Narrow, wide and edge-truncated laws, scaled or not: the adaptive
+    # average either meets the closed-form moment or says it cannot.
+    law = TruncatedLogNormal(mu, sigma)
+    if quantile is not None:
+        # The quantile of the law conditioned on eta <= 1.
+        z = special.ndtri(quantile * special.ndtr(-mu / sigma))
+        law = TruncatedLogNormal(mu, sigma, math.exp(mu + sigma * z))
+    law = law.scale(factor)
+    try:
+        got = law.expectation(lambda e: e**k)
+    except QuadratureAccuracyError:
+        return
+    assert got == pytest.approx(law.moment(k), rel=1e-8)
 
 def test_empirical_is_exact_weighted_sum():
     e = Empirical((0.2, 0.8), (1.0, 1.0))

@@ -383,3 +383,23 @@ def test_dense_thermal_input_against_event_simulation():
         p_est, p_se = batch_statistic(counts.astype(float),
                                       lambda c, n=n: float(np.mean(c == n)))
         assert abs(predicted.probabilities[n] - p_est) < 4.0 * p_se + 1e-9
+
+
+def test_narrow_lognormal_coherent_counts_against_mpmath():
+    # A narrow law of the benchmark's defect census: the one-panel start
+    # missed its peak, the counts summed to ~1e-18 and the constructor raised.
+    law = TruncatedLogNormal(-1.72, 0.01542)
+    det = DetectorModel(efficiency=0.8, noise_counts=0.05)
+    counts = count_distribution_coherent(math.sqrt(10.0), law, det).probabilities
+    assert counts.sum() == pytest.approx(1.0, abs=1e-9)
+    # Poisson counts averaged over z = (ln eta - mu)/sigma; eta <= 1 cuts the
+    # normal at z > 100 and [-12, 12] holds all but 1e-32 of its mass.
+    mp = pytest.importorskip("mpmath")
+
+    def pk(k, z):
+        lam = 0.8 * 10.0 * mp.exp(law.mu + law.sigma * z) + 0.05
+        return mp.npdf(z) * mp.exp(k * mp.log(lam) - lam - mp.loggamma(k + 1))
+
+    with mp.workdps(30):
+        expected = [float(mp.quad(lambda z: pk(k, z), [-12, 0, 12])) for k in range(counts.size)]
+    np.testing.assert_allclose(counts, expected, rtol=1e-9, atol=1e-15)
