@@ -41,7 +41,9 @@ then run between consecutive breakpoints, all at depth 0.  A peak much
 narrower than the first panel, whose 15 nodes all miss it, reads ~0 in
 both K15 and G7 and is never refined; breakpoints that bracket it let the
 rule see it.  The transmittance laws supply such breakpoints for their own
-peaks (``TransmittanceDistribution.edges``).
+peaks (``TransmittanceDistribution.edges``).  A Beta law instead changes
+variables at each end of its support, so a density singular there reaches
+the rule as a smooth integrand (``Beta.expectation``).
 
 If the depth budget runs out before the tolerance is met, the integrator
 raises :class:`QuadratureAccuracyError` carrying its best estimate and a
@@ -223,7 +225,11 @@ def integrate(f, a, b, spec=DEFAULT_QUADRATURE, points=()):
     same values and agree.  For an integrand singular at an endpoint the
     "meets its tolerance or raises" promise therefore does not hold:
     ``integrate(lambda y: 1 / np.sqrt(1 - y), 0, 1)`` returns 2 - 1.05e-8
-    (5.3e-9 relative against ``rel_tol`` 1e-9) without raising.  Nor can
+    (5.3e-9 relative against ``rel_tol`` 1e-9) without raising.  Averages
+    over a Beta law never meet this: ``Beta.expectation`` integrates each
+    end of the support in a variable where the density's power-law factor
+    is constant, so the integrand it hands over is smooth there.  The
+    caveat holds for raw integrands.  Nor can
     the rule find a peak far narrower than its starting panels whose nodes
     all miss it: K15 and G7 then both read ~0.  Bracket such a peak with
     ``points``.

@@ -25,6 +25,9 @@ momentary channel, so both modes see min(T_a, T_b)).
 Moments use closed forms of the underlying families (incomplete beta /
 normal integrals); generic expectations fall back on the deterministic
 quadrature from :mod:`turbulight.numerics`, or exact sums for atomic laws.
+A Beta law integrates each end of its support in its own variable, so an
+end where its density is singular reaches the quadrature as a smooth
+integrand.
 """
 
 from __future__ import annotations
@@ -373,6 +376,44 @@ class Beta(TransmittanceDistribution):
         out = np.where((eta == 1.0) & (self.q > 1.0), 0.0, out)
         return out if out.ndim else float(out)
 
+    def expectation(self, f, spec=DEFAULT_QUADRATURE):
+        """<f(eta)>, with each end of the support in its own variable.
+
+        [lo, c] is integrated in w = eta**rp and [c, 1] in v = (1 - eta)**rq,
+        with rp = min(p, 1), rq = min(q, 1) and c = max(lo, 1/2).  The
+        power-law factors of the density become w**(p/rp - 1) and
+        v**(q/rq - 1): constant for a shape below 1 (eta = w**2 and
+        1 - eta = v**2 for the arcsine law), so a singular end turns into a
+        smooth integrand; for a shape of 1 or more the map is the identity.
+        One :func:`integrate` call takes both pieces, s in [0, 1] mapping
+        to w and s in [1, 2] to v, so one tolerance covers the whole
+        integral.  On the v piece 1 - eta comes from v, never from eta.
+        """
+        rp, rq = min(self.p, 1.0), min(self.q, 1.0)
+        c = max(self.lo, 0.5)
+        w_lo, w_c = self.lo**rp, c**rp
+        v_c = (1.0 - c) ** rq
+        log_norm = special.betaln(self.p, self.q) + math.log(self._mass())
+
+        def integrand(s):
+            right = s > 1.0
+            x = np.where(right, (2.0 - s) * v_c, w_lo + s * (w_c - w_lo))
+            r = np.where(right, rq, rp)
+            # eta on the w piece, 1 - eta on the v piece.
+            near = x ** (1.0 / r)
+            eta = np.where(right, 1.0 - near, near)
+            logd = (
+                (np.where(right, self.q, self.p) / r - 1.0) * np.log(x)
+                + (np.where(right, self.p, self.q) - 1.0) * np.log1p(-near)
+                - log_norm
+            )
+            jac = np.where(right, v_c / rq, (w_c - w_lo) / rp)
+            dens = np.exp(logd) * jac
+            values = np.asarray(f(eta))
+            return values * dens.reshape(dens.shape + (1,) * (values.ndim - 1))
+
+        return integrate(integrand, 0.0 if c > self.lo else 1.0, 2.0, spec, points=(1.0,))
+
     def survival(self, eta, include_equal=False):
         eta = np.asarray(eta, dtype=float)
         clipped = np.clip(eta, self.lo, 1.0)
@@ -571,6 +612,10 @@ class Scaled(TransmittanceDistribution):
         gone = scaled > 1.0 if include_equal else scaled >= 1.0
         out = np.where(gone, 0.0, inner_surv)
         return out if out.ndim else float(out)
+
+    def expectation(self, f, spec=DEFAULT_QUADRATURE):
+        # Averaged over the inner law, so a Beta keeps its substitutions.
+        return self.inner.expectation(lambda e: f(self.factor * e), spec)
 
     def sample(self, n, rng):
         return self.factor * self.inner.sample(n, rng)

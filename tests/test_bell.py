@@ -198,21 +198,26 @@ def _chsh_from_averages(noise, squeezing, averages):
     return abs(e11 - e12) + abs(e22 + e21)
 
 
-def _exact_chsh(law_a, law_b, efficiency, noise, squeezing, angles_a, angles_b):
-    """CHSH as a finite sum over atom pairs, each angle pair on its own."""
-    ea, wa = np.array([e for e, _ in law_a.atoms]), np.array([w for _, w in law_a.atoms])
-    eb, wb = np.array([e for e, _ in law_b.atoms]), np.array([w for _, w in law_b.atoms])
-    w = wa[:, None] * wb[None, :]
+def _chsh_on_nodes(ea, eb, w, efficiency, noise, squeezing, angles_a, angles_b):
+    """CHSH as a finite w-weighted sum over the nodes (ea, eb), each angle pair on its own."""
     averages = []
     for ta in angles_a:
         for tb in angles_b:
-            c = c_terms(ea[:, None], eb[None, :], efficiency, squeezing, ta, tb)
+            c = c_terms(ea, eb, efficiency, squeezing, ta, tb)
             d = c.c0 + c.c1a + c.c1b
             averages += [np.sum(w * (1.0 / (d + c.same))), np.sum(w * (1.0 / (d + c.different)))]
     averages += [np.sum(w * v) for v in (
         c.c0 / (c.c0 + c.c1a) ** 2, c.c0 / (c.c0 + c.c1b) ** 2, 1.0 / c.c0,
     )]
     return _chsh_from_averages(noise, squeezing, averages)
+
+
+def _exact_chsh(law_a, law_b, efficiency, noise, squeezing, angles_a, angles_b):
+    """CHSH as a finite sum over atom pairs, each angle pair on its own."""
+    ea, wa = np.array([e for e, _ in law_a.atoms]), np.array([w for _, w in law_a.atoms])
+    eb, wb = np.array([e for e, _ in law_b.atoms]), np.array([w for _, w in law_b.atoms])
+    return _chsh_on_nodes(ea[:, None], eb[None, :], wa[:, None] * wb[None, :],
+                          efficiency, noise, squeezing, angles_a, angles_b)
 
 
 class _WidthSpy(Product):
@@ -299,6 +304,22 @@ def test_narrow_lognormal_product_point_matches_tensor_rule():
                            DEFAULT_ANGLES_A, DEFAULT_ANGLES_B)
     assert expected == pytest.approx(2.79, abs=0.01)
     assert bell_parameter(settings) == pytest.approx(expected, rel=1e-9)
+
+
+def test_arcsine_correlated_sweep_matches_legendre_rule_in_theta():
+    # The arcsine law of the benchmark's defect census, singular at both
+    # ends.  In theta, eta = sin^2 theta, it is uniform on [0, pi/2] and the
+    # integrand is smooth, so 40 Gauss-Legendre nodes there converge far
+    # below the tolerance (80 and 160 agree to 3e-12).
+    x, w = np.polynomial.legendre.leggauss(40)
+    eta = np.sin(0.25 * math.pi * (1.0 + x)) ** 2
+    grid = [0.025, 0.25, 0.55, 0.79]
+    settings = _settings(0.0, PerfectlyCorrelated(Beta(0.5, 0.5)), efficiency=0.83, noise=8.4e-5)
+    points = bell_sweep(settings, squeezing_grid=grid)
+    expected = [_chsh_on_nodes(eta, eta, 0.5 * w, 0.83, 8.4e-5, xi,
+                               DEFAULT_ANGLES_A, DEFAULT_ANGLES_B) for xi in grid]
+    assert [p.value for p in points] == pytest.approx(expected, rel=1e-9)
+
 
 def test_extreme_squeezing_triggers_singularity_guard():
     settings = _settings(8.0, Product(Beta(2.0, 2.0), Beta(2.0, 2.0)))

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate as sp_integrate
 from scipy import special
 
+from turbulight import pdt
 from turbulight.bell import BellSettings, bell_parameter
 from turbulight.numerics import QuadratureAccuracyError, RandomSource
 from turbulight.pdt import (
@@ -117,14 +118,55 @@ def test_beta_negative_moment_needs_positive_edge():
 
 def test_beta_negative_moment_quadrature_fallback():
     dist = Beta(0.5, 0.5, lo=0.3)
-    num = mp.quad(
-        lambda x: x ** mp.mpf(-2) / (mp.sqrt(x) * mp.sqrt(1 - x)),
-        [mp.mpf("0.3"), 1],
-    )
-    den = mp.quad(
-        lambda x: 1 / (mp.sqrt(x) * mp.sqrt(1 - x)), [mp.mpf("0.3"), 1]
-    )
-    assert dist.moment(-2.0) == pytest.approx(float(num / den), rel=1e-7)
+    # At 15 digits mpmath's own quadrature of these end singularities is
+    # off by 2e-10; 30 digits take it to rounding.
+    with mp.workdps(30):
+        num = mp.quad(
+            lambda x: x ** mp.mpf(-2) / (mp.sqrt(x) * mp.sqrt(1 - x)),
+            [mp.mpf(0.3), 1],
+        )
+        den = mp.quad(
+            lambda x: 1 / (mp.sqrt(x) * mp.sqrt(1 - x)), [mp.mpf(0.3), 1]
+        )
+    assert dist.moment(-2.0) == pytest.approx(float(num / den), rel=1e-12)
+
+
+def test_beta_average_is_one_integrate_call_of_few_panels(monkeypatch):
+    # Both pieces go through one public integrate call, under one tolerance.
+    # Averaged in eta, each of these took 49-54 integrand calls.
+    calls = []
+    real = pdt.integrate
+    monkeypatch.setattr(pdt, "integrate", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    for law, k in ((Beta(0.5, 0.5, lo=0.3), -2.0), (Beta(0.5, 0.5), 2.0), (Beta(2.0, 0.5), 1.0)):
+        calls.clear()
+        sizes = []
+        law.expectation(lambda e: sizes.append(e.size) or e**k)
+        assert calls == [1]
+        assert len(sizes) <= 3
+
+
+def test_beta_mean_with_singular_upper_end():
+    # (1 - eta)**-1/2 at eta = 1: averaged in eta this came out 1.3e-8 low.
+    assert Beta(2.0, 0.5).expectation(lambda e: e) == pytest.approx(0.8, rel=1e-14)
+
+
+def test_scaled_beta_keeps_the_substitution():
+    law = Scaled(Beta(2.0, 0.5), 0.7)
+    assert law.expectation(lambda e: e) == pytest.approx(0.56, abs=1e-14)
+
+
+@settings(max_examples=400)
+@given(
+    p=st.floats(0.2, 8.0),
+    q=st.floats(0.2, 8.0),
+    lo=st.one_of(st.just(0.0), st.floats(0.0, 0.9)),
+    k=st.sampled_from([0.5, 1.0, 2.0]),
+)
+def test_beta_expectation_matches_closed_moment(p, q, lo, k):
+    # Singular ends (p or q below 1), smooth ones and truncated laws all
+    # meet the integrator's own tolerance.
+    law = Beta(p, q, lo)
+    assert law.expectation(lambda e: e**k) == pytest.approx(law.moment(k), rel=1e-9)
 
 
 def test_lognormal_negative_moment_closed_form():

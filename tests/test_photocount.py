@@ -403,3 +403,62 @@ def test_narrow_lognormal_coherent_counts_against_mpmath():
     with mp.workdps(30):
         expected = [float(mp.quad(lambda z: pk(k, z), [-12, 0, 12])) for k in range(counts.size)]
     np.testing.assert_allclose(counts, expected, rtol=1e-9, atol=1e-15)
+
+
+# The arcsine law Beta(1/2, 1/2) of the benchmark's defect census: its
+# density is singular at both ends, and averaged in eta the count
+# distributions raised QuadratureAccuracyError.  In theta, eta = sin^2 theta,
+# the law is uniform on [0, pi/2], so each count is a smooth integral there.
+ARCSINE = Beta(0.5, 0.5)
+
+
+def _mp_arcsine_counts(conditional, size):
+    """mpmath averages of conditional(eta)[k], k < size, over the arcsine law."""
+    mp = pytest.importorskip("mpmath")
+    cache = {}
+
+    def count(k, theta):
+        if theta not in cache:
+            cache[theta] = conditional(mp.sin(theta) ** 2)
+        return cache[theta][k] if k < len(cache[theta]) else mp.mpf(0)
+
+    with mp.workdps(30):
+        return [float(2 / mp.pi * mp.quad(lambda t: count(k, t), [0, mp.pi / 4, mp.pi / 2]))
+                for k in range(size)]
+
+
+def test_arcsine_fock_counts_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    m, eff, nu = 60, 0.9489587606240025, 3.100504966550425e-05
+    p_in = np.zeros(m + 1)
+    p_in[m] = 1.0
+    counts = count_distribution_fock(p_in, ARCSINE, DetectorModel(eff, nu)).probabilities
+    assert counts.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def conditional(eta):
+        # Binomial thinning of m photons at eff * eta, then Poisson noise.
+        s = eff * eta
+        kept = [mp.binomial(m, j) * s**j * (1 - s) ** (m - j) for j in range(m + 1)]
+        noise = [mp.exp(-nu) * mp.mpf(nu) ** n / mp.factorial(n) for n in range(4)]
+        return [sum(kept[k - n] * noise[n] for n in range(4) if 0 <= k - n <= m)
+                for k in range(m + 4)]
+
+    expected = _mp_arcsine_counts(conditional, counts.size)
+    # At count 18 the benchmark's graded reference reads 0.011910418.
+    assert expected[18] == pytest.approx(0.0119106544400399, rel=1e-14)
+    np.testing.assert_allclose(counts, expected, rtol=1e-9, atol=1e-15)
+
+
+def test_arcsine_coherent_counts_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    eff, nu = 0.6518337260438645, 0.00030929521787171737
+    det = DetectorModel(eff, nu)
+    counts = count_distribution_coherent(math.sqrt(10.0), ARCSINE, det).probabilities
+    assert counts.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def conditional(eta):
+        lam = eff * 10.0 * eta + nu
+        return [mp.exp(k * mp.log(lam) - lam - mp.loggamma(k + 1)) for k in range(counts.size)]
+
+    expected = _mp_arcsine_counts(conditional, counts.size)
+    np.testing.assert_allclose(counts, expected, rtol=1e-9, atol=1e-15)
