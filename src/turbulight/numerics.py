@@ -40,10 +40,9 @@ axes of :func:`integrate2`), as in QUADPACK's ``qagp``: the starting panels
 then run between consecutive breakpoints, all at depth 0.  A peak much
 narrower than the first panel, whose 15 nodes all miss it, reads ~0 in
 both K15 and G7 and is never refined; breakpoints that bracket it let the
-rule see it.  The transmittance laws supply such breakpoints for their own
-peaks (``TransmittanceDistribution.edges``).  A Beta law instead changes
-variables at each end of its support, so a density singular there reaches
-the rule as a smooth integrand (``Beta.expectation``).
+rule see it.  Each transmittance law hands the rule its average as a
+chart (``TransmittanceDistribution.chart``): limits, breakpoints around its
+peaks, and a change of variables that makes a singular end smooth.
 
 If the depth budget runs out before the tolerance is met, the integrator
 raises :class:`QuadratureAccuracyError` carrying its best estimate and a
@@ -145,8 +144,8 @@ class QuadratureSpec:
     ``max(abs_tol, rel_tol * |I|)`` where |I| is the max-norm of the
     first whole-domain estimate.  max_depth limits how many times any
     panel may be bisected (panel width shrinks as 2**-depth; the default
-    is generous because inverse-square-root endpoint densities need
-    around fifty levels, and smooth integrands never get near it).
+    is generous: raw integrands singular at an endpoint refine for about
+    fifty levels, while smooth ones never get near it).
     """
 
     rel_tol: float = 1e-9
@@ -225,14 +224,11 @@ def integrate(f, a, b, spec=DEFAULT_QUADRATURE, points=()):
     same values and agree.  For an integrand singular at an endpoint the
     "meets its tolerance or raises" promise therefore does not hold:
     ``integrate(lambda y: 1 / np.sqrt(1 - y), 0, 1)`` returns 2 - 1.05e-8
-    (5.3e-9 relative against ``rel_tol`` 1e-9) without raising.  Averages
-    over a Beta law never meet this: ``Beta.expectation`` integrates each
-    end of the support in a variable where the density's power-law factor
-    is constant, so the integrand it hands over is smooth there.  The
-    caveat holds for raw integrands.  Nor can
-    the rule find a peak far narrower than its starting panels whose nodes
-    all miss it: K15 and G7 then both read ~0.  Bracket such a peak with
-    ``points``.
+    (5.3e-9 relative against ``rel_tol`` 1e-9) without raising.  No
+    average over a law meets this: each law's ``chart`` hands over an
+    integrand that is smooth at the ends.  Nor can the rule find a peak far
+    narrower than its starting panels whose nodes all miss it: K15 and G7
+    then both read ~0.  Bracket such a peak with ``points``.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("integration limits must be finite")

@@ -23,11 +23,10 @@ Two-mode channels combine one-mode laws three ways: :class:`Product`
 momentary channel, so both modes see min(T_a, T_b)).
 
 Moments use closed forms of the underlying families (incomplete beta /
-normal integrals); generic expectations fall back on the deterministic
-quadrature from :mod:`turbulight.numerics`, or exact sums for atomic laws.
-A Beta law integrates each end of its support in its own variable, so an
-end where its density is singular reaches the quadrature as a smooth
-integrand.
+normal integrals); other averages are exact sums for atomic laws, else the
+quadrature of :mod:`turbulight.numerics` over the law's ``chart``, in 1D
+and 2D alike.  A Beta chart takes each end of the support in its own
+variable, so a singular density reaches the quadrature smooth.
 """
 
 from __future__ import annotations
@@ -69,6 +68,7 @@ _NEAR_ONE_DZ = 1e-2
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 _GL_NODES, _GL_WEIGHTS = 0.5 * (1.0 + _GL_NODES), 0.5 * _GL_WEIGHTS
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_TINY = np.finfo(float).tiny
 # z-scores of the log-normal quadrature edges exp(mu + z sigma): the median,
 # the flanks of the peak and its far tails.
 _LOG_NORMAL_EDGE_Z = (-8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0)
@@ -107,11 +107,10 @@ class TransmittanceDistribution:
     """Base class for one-mode transmittance laws.
 
     Concrete subclasses implement ``moment``, ``survival``, ``sample``,
-    ``truncate`` and either ``atoms`` (atomic laws) or ``density`` with
-    ``support`` (continuous laws).  A continuous law may also give
-    ``edges``, breakpoints where every adaptive average over it starts
-    (default: none).  ``scale`` wraps the law in :class:`Scaled` unless a
-    subclass has a closed form for it.
+    ``truncate``, ``support`` and either ``atoms`` (atomic laws) or
+    ``chart`` (continuous laws; the default chart needs ``density`` and
+    may use ``edges``).  ``scale`` wraps the law in :class:`Scaled` unless
+    a subclass has a closed form for it.
     Everything here is immutable and safe to share between threads.
     """
 
@@ -156,13 +155,19 @@ class TransmittanceDistribution:
 
     @property
     def edges(self):
-        """Breakpoints for quadrature over the law, e.g. around its peak.
-
-        Adaptive averages start from the panels between them, so a peak far
-        narrower than the support is not missed; points outside the
-        support are ignored.
-        """
+        """Breakpoints of the default chart, so a peak far narrower than the
+        support is not missed; points outside the support are ignored."""
         return ()
+
+    def chart(self):
+        """(a, b, points, g): <f> is the integral of f(eta(s)) w(s) over [a, b].
+
+        g maps an array of s to (eta(s), w(s)); ``points`` are breakpoints
+        of [a, b].  Every quadrature average, 1D or 2D, integrates a chart.
+        The default is eta = s on the support, w the density, and ``edges``.
+        """
+        lo, hi = self.support
+        return lo, hi, self.edges, lambda s: (s, self.density(s))
 
     # ---- shared helpers ------------------------------------------------
 
@@ -191,14 +196,14 @@ class TransmittanceDistribution:
             return np.sum(values * w, axis=0) if values.ndim > 1 else float(
                 np.sum(values * w)
             )
-        lo, hi = self.support
+        a, b, points, g = self.chart()
 
-        def integrand(x):
-            values = np.asarray(f(x))
-            dens = self.density(x)
-            return values * dens.reshape(dens.shape + (1,) * (values.ndim - 1))
+        def integrand(s):
+            eta, w = g(s)
+            values = np.asarray(f(eta))
+            return values * w.reshape(w.shape + (1,) * (values.ndim - 1))
 
-        return integrate(integrand, lo, hi, spec, points=self.edges)
+        return integrate(integrand, a, b, spec, points=points)
 
 
 @dataclass(frozen=True)
@@ -329,15 +334,19 @@ class Beta(TransmittanceDistribution):
     lo: float = 0.0
 
     def __post_init__(self):
-        if not (self.p > 0.0 and self.q > 0.0):
-            raise ValueError("Beta shape parameters must be positive")
+        if not (np.isfinite(self.p) and np.isfinite(self.q) and self.p > 0.0 and self.q > 0.0):
+            raise ValueError("Beta shape parameters must be positive and finite")
         _check_unit_interval("lower truncation point", self.lo, open_right=True)
+
+    def _upper(self, p, x):
+        # Mass of Beta(p, q) above x; 1 - I_x(p, q) cancels in a thin tail.
+        return special.betainc(self.q, p, 1.0 - x)
 
     def _mass(self):
         # Probability of the untruncated Beta landing in [lo, 1].
         if self.lo == 0.0:
             return 1.0
-        return float(1.0 - special.betainc(self.p, self.q, self.lo))
+        return float(self._upper(self.p, self.lo))
 
     def moment(self, k, spec=DEFAULT_QUADRATURE):
         if k == 0:
@@ -356,7 +365,7 @@ class Beta(TransmittanceDistribution):
         if self.lo == 0.0:
             upper = 1.0
         else:
-            upper = float(1.0 - special.betainc(self.p + k, self.q, self.lo))
+            upper = float(self._upper(self.p + k, self.lo))
         return ratio * upper / self._mass()
 
     def density(self, eta):
@@ -376,18 +385,18 @@ class Beta(TransmittanceDistribution):
         out = np.where((eta == 1.0) & (self.q > 1.0), 0.0, out)
         return out if out.ndim else float(out)
 
-    def expectation(self, f, spec=DEFAULT_QUADRATURE):
-        """<f(eta)>, with each end of the support in its own variable.
+    def chart(self):
+        """Each end of the support in its own variable.
 
-        [lo, c] is integrated in w = eta**rp and [c, 1] in v = (1 - eta)**rq,
+        [lo, c] is taken in w = eta**rp and [c, 1] in v = (1 - eta)**rq,
         with rp = min(p, 1), rq = min(q, 1) and c = max(lo, 1/2).  The
         power-law factors of the density become w**(p/rp - 1) and
         v**(q/rq - 1): constant for a shape below 1 (eta = w**2 and
         1 - eta = v**2 for the arcsine law), so a singular end turns into a
         smooth integrand; for a shape of 1 or more the map is the identity.
-        One :func:`integrate` call takes both pieces, s in [0, 1] mapping
-        to w and s in [1, 2] to v, so one tolerance covers the whole
-        integral.  On the v piece 1 - eta comes from v, never from eta.
+        s in [0, 1] maps to w and s in [1, 2] to v, with a breakpoint at 1,
+        so one quadrature and one tolerance cover both pieces.  On the v
+        piece 1 - eta comes from v, never from eta.
         """
         rp, rq = min(self.p, 1.0), min(self.q, 1.0)
         c = max(self.lo, 0.5)
@@ -395,9 +404,10 @@ class Beta(TransmittanceDistribution):
         v_c = (1.0 - c) ** rq
         log_norm = special.betaln(self.p, self.q) + math.log(self._mass())
 
-        def integrand(s):
+        def g(s):
             right = s > 1.0
-            x = np.where(right, (2.0 - s) * v_c, w_lo + s * (w_c - w_lo))
+            # No node comes near _TINY; the floor keeps w finite at s -> 0.
+            x = np.maximum(np.where(right, (2.0 - s) * v_c, w_lo + s * (w_c - w_lo)), _TINY)
             r = np.where(right, rq, rp)
             # eta on the w piece, 1 - eta on the v piece.
             near = x ** (1.0 / r)
@@ -408,16 +418,14 @@ class Beta(TransmittanceDistribution):
                 - log_norm
             )
             jac = np.where(right, v_c / rq, (w_c - w_lo) / rp)
-            dens = np.exp(logd) * jac
-            values = np.asarray(f(eta))
-            return values * dens.reshape(dens.shape + (1,) * (values.ndim - 1))
+            return eta, np.exp(logd) * jac
 
-        return integrate(integrand, 0.0 if c > self.lo else 1.0, 2.0, spec, points=(1.0,))
+        return (0.0 if c > self.lo else 1.0), 2.0, (1.0,), g
 
     def survival(self, eta, include_equal=False):
         eta = np.asarray(eta, dtype=float)
         clipped = np.clip(eta, self.lo, 1.0)
-        surv = (1.0 - special.betainc(self.p, self.q, clipped)) / self._mass()
+        surv = self._upper(self.p, clipped) / self._mass()
         out = np.where(eta < self.lo, 1.0, np.where(eta >= 1.0, 0.0, surv))
         return out if out.ndim else float(out)
 
@@ -430,7 +438,7 @@ class Beta(TransmittanceDistribution):
     def truncate(self, threshold):
         _check_unit_interval("threshold", threshold, open_right=True)
         new_lo = max(self.lo, threshold)
-        surviving = float(1.0 - special.betainc(self.p, self.q, new_lo))
+        surviving = float(self._upper(self.p, new_lo))
         if surviving <= 0.0:
             raise EmptySelectionError(threshold, surviving)
         return Beta(self.p, self.q, new_lo)
@@ -454,8 +462,8 @@ class TruncatedLogNormal(TransmittanceDistribution):
     lo: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.mu) and self.sigma > 0.0):
-            raise ValueError("need finite mu and positive sigma")
+        if not (np.isfinite(self.mu) and np.isfinite(self.sigma) and self.sigma > 0.0):
+            raise ValueError("need finite mu and positive, finite sigma")
         _check_unit_interval("lower truncation point", self.lo, open_right=True)
 
     def _z(self, eta):
@@ -519,7 +527,8 @@ class TruncatedLogNormal(TransmittanceDistribution):
             d = np.exp(-0.5 * z * z) / (
                 np.where(inside, eta, 1.0) * self.sigma * math.sqrt(2.0 * math.pi)
             )
-            out = np.where(inside, d / self._mass(), 0.0)
+            # 0/0 a few ulps above eta = 0, where both factors underflow, is 0.
+            out = np.where(inside & (d > 0.0), d / self._mass(), 0.0)
         return out if out.ndim else float(out)
 
     def survival(self, eta, include_equal=False):
@@ -596,13 +605,6 @@ class Scaled(TransmittanceDistribution):
             return 1.0
         return float(self.factor**k) * self.inner.moment(k, spec)
 
-    def density(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        inside = eta <= self.factor
-        inner_d = self.inner.density(np.where(inside, eta, 0.0) / self.factor)
-        out = np.where(inside, inner_d / self.factor, 0.0)
-        return out if out.ndim else float(out)
-
     def survival(self, eta, include_equal=False):
         eta = np.asarray(eta, dtype=float)
         scaled = eta / self.factor
@@ -612,10 +614,6 @@ class Scaled(TransmittanceDistribution):
         gone = scaled > 1.0 if include_equal else scaled >= 1.0
         out = np.where(gone, 0.0, inner_surv)
         return out if out.ndim else float(out)
-
-    def expectation(self, f, spec=DEFAULT_QUADRATURE):
-        # Averaged over the inner law, so a Beta keeps its substitutions.
-        return self.inner.expectation(lambda e: f(self.factor * e), spec)
 
     def sample(self, n, rng):
         return self.factor * self.inner.sample(n, rng)
@@ -644,9 +642,15 @@ class Scaled(TransmittanceDistribution):
         lo, hi = self.inner.support
         return (lo * self.factor, hi * self.factor)
 
-    @property
-    def edges(self):
-        return tuple(e * self.factor for e in self.inner.edges)
+    def chart(self):
+        # The inner law's chart, so a Beta keeps its substitutions.
+        a, b, points, g = self.inner.chart()
+
+        def scaled(s):
+            eta, w = g(s)
+            return self.factor * eta, w
+
+        return a, b, points, scaled
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +684,7 @@ class JointTransmittanceDistribution:
 
 
 def _average_product(da, db, f, spec):
-    """<f>: an atomic arm summed inside one pass over the other, else 2D.
+    """<f>: an atomic arm summed inside one pass over the other, else 2D in charts.
 
     With atoms (e_i, w_i) on one arm, <f> = E_y[g(y)] for the atom-weighted
     g(y) = sum_i w_i f(e_i, y), so the other arm runs one expectation (one
@@ -715,21 +719,21 @@ def _average_product(da, db, f, spec):
             return np.concatenate(rows)
 
         return db.expectation(weighted, spec)
-    (lo_a, hi_a), (lo_b, hi_b) = da.support, db.support
-    # The inner integral calls the integrand several times with one batch
-    # of outer nodes; their density is kept, keyed on the node values.
-    outer = [None, None]
+    (a_x, b_x, points_x, g_x), (a_y, b_y, points_y, g_y) = da.chart(), db.chart()
+    # The chart values of a batch of outer nodes, reused by its inner calls.
+    outer = [None, None, None]
 
-    def integrand(x, y):
-        values = np.asarray(f(x, y))
-        x = x.ravel()
-        if not np.array_equal(x, outer[0]):
-            outer[:] = x.copy(), da.density(x)
-        w = outer[1][:, None] * db.density(y.ravel())[None, :]
+    def integrand(s, t):
+        s = s.ravel()
+        if not np.array_equal(s, outer[0]):
+            outer[:] = s.copy(), *g_x(s)
+        eta_y, w_y = g_y(t.ravel())
+        values = np.asarray(f(outer[1][:, None], eta_y[None, :]))
+        w = outer[2][:, None] * w_y[None, :]
         return values * w.reshape(w.shape + (1,) * (values.ndim - 2))
 
     return integrate2(
-        integrand, lo_a, hi_a, lo_b, hi_b, spec, points_x=da.edges, points_y=db.edges
+        integrand, a_x, b_x, a_y, b_y, spec, points_x=points_x, points_y=points_y
     )
 
 
