@@ -11,6 +11,11 @@ cases:
 * :class:`Beta` -- a flexible bounded family for synthetic studies,
 * :class:`Empirical` -- histogram atoms ingested from measured data.
 
+Atomic laws (:class:`Dirac`, :class:`Empirical` and either one scaled)
+give their atoms as one pair of read-only float64 arrays ``(etas,
+weights)``, etas sorted and weights summing to 1; every atom sum,
+selection and tail sum reads those arrays.
+
 Deterministic absorption enters as a multiplicative pre-factor on eta
 (:meth:`TransmittanceDistribution.scale`), and pre/postselection on a
 monitored transmittance is the renormalized restriction to [threshold, 1]
@@ -96,6 +101,12 @@ class EmptySelectionError(ValueError):
         self.surviving_mass = surviving_mass
 
 
+def _frozen(a):
+    """``a`` made read-only, so a law can hand out its arrays without copies."""
+    a.flags.writeable = False
+    return a
+
+
 def _check_unit_interval(name, value, *, open_left=False, open_right=False):
     lo_ok = value > 0.0 if open_left else value >= 0.0
     hi_ok = value < 1.0 if open_right else value <= 1.0
@@ -107,10 +118,12 @@ class TransmittanceDistribution:
     """Base class for one-mode transmittance laws.
 
     Concrete subclasses implement ``moment``, ``survival``, ``sample``,
-    ``truncate``, ``support`` and either ``atoms`` (atomic laws) or
-    ``chart`` (continuous laws; the default chart needs ``density`` and
-    may use ``edges``).  ``scale`` wraps the law in :class:`Scaled` unless
-    a subclass has a closed form for it.
+    ``truncate``, ``support`` and either ``atoms`` (atomic laws: a pair
+    of read-only arrays ``(etas, weights)``) or ``chart`` (continuous
+    laws; the default chart needs ``density`` and may use ``edges``).
+    ``expectation`` sums over the atoms or integrates the chart.
+    ``scale`` wraps the law in :class:`Scaled` unless a subclass has a
+    closed form for it.
     Everything here is immutable and safe to share between threads.
     """
 
@@ -145,7 +158,8 @@ class TransmittanceDistribution:
 
     @property
     def atoms(self):
-        """((eta, weight), ...) for atomic laws, else None."""
+        """(etas, weights) as read-only float64 arrays for atomic laws, etas
+        sorted and weights summing to 1; None for continuous laws."""
         return None
 
     @property
@@ -189,8 +203,7 @@ class TransmittanceDistribution:
         """<f(eta)> for a vectorized, possibly vector-valued f."""
         atoms = self.atoms
         if atoms is not None:
-            etas = np.array([a for a, _ in atoms])
-            weights = np.array([w for _, w in atoms])
+            etas, weights = atoms
             values = np.asarray(f(etas))
             w = weights.reshape(weights.shape + (1,) * (values.ndim - 1))
             return np.sum(values * w, axis=0) if values.ndim > 1 else float(
@@ -245,7 +258,7 @@ class Dirac(TransmittanceDistribution):
 
     @property
     def atoms(self):
-        return ((self.value, 1.0),)
+        return _frozen(np.array([self.value], dtype=float)), _frozen(np.ones(1))
 
     @property
     def support(self):
@@ -254,71 +267,88 @@ class Dirac(TransmittanceDistribution):
 
 @dataclass(frozen=True)
 class Empirical(TransmittanceDistribution):
-    """Atomic law from histogram bins (eta_i, weight_i), renormalized."""
+    """Atomic law from histogram bins (eta_i, weight_i), renormalized.
+
+    ``etas`` and ``weights`` hold the bins sorted by eta, the weights
+    divided by their ``math.fsum``; they may be given as any sequences or
+    arrays.  ``atoms`` holds the same bins as read-only arrays, and every
+    average, tail sum and selection reads those.
+    """
 
     etas: tuple
     weights: tuple
 
     def __post_init__(self):
-        if len(self.etas) != len(self.weights) or not self.etas:
+        if len(self.etas) != len(self.weights) or len(self.etas) == 0:
             raise ValueError("need matching, nonempty eta and weight sequences")
-        total = math.fsum(self.weights)
+        weights = np.asarray(self.weights, dtype=float)
+        total = math.fsum(weights.tolist())
         if not np.isfinite(total) or total <= 0.0:
             raise ValueError("bin weights must sum to a positive finite value")
-        for e, w in zip(self.etas, self.weights):
-            _check_unit_interval("bin eta", e)
-            if not (np.isfinite(w) and w >= 0.0):
-                raise ValueError(f"bin weight must be nonnegative, got {w!r}")
-        order = np.argsort(np.asarray(self.etas), kind="stable")
-        etas = tuple(float(self.etas[i]) for i in order)
-        weights = tuple(float(self.weights[i]) / total for i in order)
-        object.__setattr__(self, "etas", etas)
-        object.__setattr__(self, "weights", weights)
+        etas = np.asarray(self.etas, dtype=float)
+        bad_eta = ~((etas >= 0.0) & (etas <= 1.0))
+        bad = bad_eta | ~(np.isfinite(weights) & (weights >= 0.0))
+        if bad.any():
+            # Name the first bad bin, its eta before its weight.
+            i = int(np.argmax(bad))
+            if bad_eta[i]:
+                raise ValueError(f"bin eta must lie in the unit interval, got {self.etas[i]!r}")
+            raise ValueError(f"bin weight must be nonnegative, got {self.weights[i]!r}")
+        order = np.argsort(etas, kind="stable")
+        etas, weights = _frozen(etas[order]), _frozen(weights[order] / total)
+        # tail[i] = P(X >= etas[i]), and 0 past the last bin.
+        tail = np.append(np.cumsum(weights[::-1])[::-1], 0.0)
+        object.__setattr__(self, "etas", tuple(etas.tolist()))
+        object.__setattr__(self, "weights", tuple(weights.tolist()))
+        object.__setattr__(self, "_atoms", (etas, weights))
+        object.__setattr__(self, "_tail", _frozen(tail))
+
+    def __setstate__(self, state):
+        # Copied and unpickled laws get fresh arrays: keep them read-only.
+        self.__dict__.update(state)
+        for a in (*self._atoms, self._tail):
+            _frozen(a)
 
     def moment(self, k, spec=DEFAULT_QUADRATURE):
         if k == 0:
             return 1.0
-        e = np.asarray(self.etas)
-        w = np.asarray(self.weights)
+        e, w = self._atoms
         return float(np.sum(w * np.power(e, k)))
 
     def survival(self, eta, include_equal=False):
         eta_arr = np.asarray(eta, dtype=float)
-        flat = eta_arr.reshape(-1)
         # The etas are sorted, so P(X > eta) is the weight from the first
         # bin above eta onward ("left" to include a bin at eta itself).
-        w = np.asarray(self.weights)
-        tail = np.append(np.cumsum(w[::-1])[::-1], 0.0)
         side = "left" if include_equal else "right"
-        out = tail[np.searchsorted(np.asarray(self.etas), flat, side=side)]
+        out = self._tail[np.searchsorted(self._atoms[0], eta_arr.reshape(-1), side=side)]
         if eta_arr.ndim == 0:
             return float(out[0])
         return out.reshape(eta_arr.shape)
 
     def sample(self, n, rng):
-        gen = rng.generator()
-        idx = gen.choice(len(self.etas), size=n, p=np.asarray(self.weights))
-        return np.asarray(self.etas)[idx]
+        e, w = self._atoms
+        return e[rng.generator().choice(e.size, size=n, p=w)]
 
     def truncate(self, threshold):
         _check_unit_interval("threshold", threshold, open_right=True)
-        keep = [
-            (e, w) for e, w in zip(self.etas, self.weights) if e >= threshold
-        ]
-        surviving = math.fsum(w for _, w in keep)
-        if not keep or surviving <= 0.0:
-            raise EmptySelectionError(threshold, surviving)
-        return Empirical(tuple(e for e, _ in keep), tuple(w for _, w in keep))
+        e, w = self._atoms
+        first = int(np.searchsorted(e, threshold, side="left"))
+        # A sum of nonnegative weights is 0 only if every term is; the new
+        # law renormalizes the kept weights by their math.fsum.
+        if self._tail[first] <= 0.0:
+            raise EmptySelectionError(threshold, float(self._tail[first]))
+        return Empirical(e[first:], w[first:])
 
     def scale(self, factor):
         _check_unit_interval("scale factor", factor, open_left=True)
         if factor == 1.0:
             return self
-        return Empirical(tuple(e * factor for e in self.etas), self.weights)
+        e, w = self._atoms
+        return Empirical(e * factor, w)
 
     @property
     def atoms(self):
-        return tuple(zip(self.etas, self.weights))
+        return self._atoms
 
     @property
     def support(self):
@@ -635,7 +665,8 @@ class Scaled(TransmittanceDistribution):
         inner_atoms = self.inner.atoms
         if inner_atoms is None:
             return None
-        return tuple((e * self.factor, w) for e, w in inner_atoms)
+        etas, weights = inner_atoms
+        return _frozen(etas * self.factor), weights
 
     @property
     def support(self):
@@ -696,8 +727,7 @@ def _average_product(da, db, f, spec):
     if atoms_a is None and db.atoms is not None:
         return _average_product(db, da, lambda y, x: f(x, y), spec)
     if atoms_a is not None:
-        ea = np.array([e for e, _ in atoms_a])
-        wa = np.array([w for _, w in atoms_a])
+        ea, wa = atoms_a
         atom_step = min(ea.size, _BLOCK_ELEMENTS)
         node_step = max(1, _BLOCK_ELEMENTS // atom_step)
 

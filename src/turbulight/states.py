@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,6 +41,14 @@ __all__ = [
 _PHYS_TOL = 1e-10
 
 
+def _check_finite(moments):
+    """Raise ValueError on the first NaN or infinite field of a moment set."""
+    for field in fields(moments):
+        value = getattr(moments, field.name)
+        if not cmath.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SingleModeGaussian:
     """First and central second moments of one bosonic mode."""
@@ -50,6 +58,7 @@ class SingleModeGaussian:
     anom: complex = 0.0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.occ < -_PHYS_TOL:
             raise ValueError("<Delta a^dag Delta a> cannot be negative")
         if self.occ - abs(self.anom) < -0.5 - _PHYS_TOL:
@@ -86,6 +95,9 @@ class TwoModeMoments:
     anom_b: complex = 0.0
     pair: complex = 0.0
     exch: complex = 0.0
+
+    def __post_init__(self):
+        _check_finite(self)
 
     def central_moment(self, first: str, second: str) -> complex:
         """<Delta(first) Delta(second)> for labels in {a, ad, b, bd}.

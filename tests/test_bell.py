@@ -214,8 +214,7 @@ def _chsh_on_nodes(ea, eb, w, efficiency, noise, squeezing, angles_a, angles_b):
 
 def _exact_chsh(law_a, law_b, efficiency, noise, squeezing, angles_a, angles_b):
     """CHSH as a finite sum over atom pairs, each angle pair on its own."""
-    ea, wa = np.array([e for e, _ in law_a.atoms]), np.array([w for _, w in law_a.atoms])
-    eb, wb = np.array([e for e, _ in law_b.atoms]), np.array([w for _, w in law_b.atoms])
+    (ea, wa), (eb, wb) = law_a.atoms, law_b.atoms
     return _chsh_on_nodes(ea[:, None], eb[None, :], wa[:, None] * wb[None, :],
                           efficiency, noise, squeezing, angles_a, angles_b)
 

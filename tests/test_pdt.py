@@ -1,6 +1,8 @@
 """Transmittance laws: closed moments, selection, joint channels."""
 
+import copy
 import math
+import pickle
 import time
 import warnings
 
@@ -426,6 +428,112 @@ def test_empirical_truncation_and_empty():
     assert err.value.surviving_mass == 0.0
 
 
+def _truncate_pairwise(law, threshold):
+    """Selection as a filter over (eta, weight) pairs, renormalized by math.fsum."""
+    keep = [(e, w) for e, w in zip(law.etas, law.weights) if e >= threshold]
+    surviving = math.fsum(w for _, w in keep)
+    if not keep or surviving <= 0.0:
+        raise EmptySelectionError(threshold, surviving)
+    return tuple(e for e, _ in keep), tuple(w / surviving for _, w in keep)
+
+
+def test_empirical_truncation_matches_pairwise_filter():
+    rng = np.random.default_rng(11)
+    # Ties, zero weights inside, and a tail of zero-weight bins below 1.
+    etas = np.concatenate([rng.choice(np.linspace(0.05, 0.7, 12), size=60), [0.8, 0.85, 0.9]])
+    weights = np.concatenate([rng.choice([0.0, 0.2, 1.0, 3.0], size=60), [0.0, 0.0, 0.0]])
+    law = Empirical(tuple(etas), tuple(weights))
+    edges = np.unique(law.etas)
+    thresholds = np.concatenate(
+        [[0.0], edges, 0.5 * (edges[1:] + edges[:-1]), [0.95, np.nextafter(1.0, 0.0)]]
+    )
+    emptied = 0
+    for t in thresholds.tolist():
+        try:
+            expected = _truncate_pairwise(law, t)
+        except EmptySelectionError as err:
+            emptied += 1
+            with pytest.raises(EmptySelectionError) as got:
+                law.truncate(t)
+            assert got.value.surviving_mass == err.surviving_mass == 0.0
+            continue
+        kept = law.truncate(t)
+        assert (kept.etas, kept.weights) == expected
+        assert kept.atoms[0].tolist() == list(expected[0])
+        assert kept.atoms[1].tolist() == list(expected[1])
+    # Every threshold above 0.7 leaves only zero-weight bins.
+    assert emptied == sum(t > 0.7 for t in thresholds)
+
+
+def test_empirical_arrays_are_read_only():
+    law = Empirical((0.2, 0.5, 0.9), (1.0, 2.0, 1.0))
+    copies = (copy.deepcopy(law), pickle.loads(pickle.dumps(law)))
+    for atomic in (law, law.truncate(0.3), Dirac(0.4), Scaled(law, 0.5), *copies):
+        etas, weights = atomic.atoms
+        with pytest.raises(ValueError):
+            etas[0] = 0.0
+        with pytest.raises(ValueError):
+            weights[...] = 1.0
+    assert law.etas == (0.2, 0.5, 0.9)
+    assert all(c == law and c.survival(0.5) == law.survival(0.5) for c in copies)
+
+
+def test_empirical_from_lists_tuples_and_arrays_is_one_law():
+    etas, weights = [0.6, 0.1, 0.35], [2.0, 1.0, 5.0]
+    laws = [
+        Empirical(etas, weights),
+        Empirical(tuple(etas), tuple(weights)),
+        Empirical(np.array(etas), np.array(weights)),
+    ]
+    for law in laws:
+        assert law == laws[0]
+        assert hash(law) == hash(laws[0])
+        assert repr(law) == repr(laws[0])
+        assert type(law.etas) is tuple and type(law.etas[0]) is float
+        assert type(law.weights) is tuple and type(law.weights[0]) is float
+    assert laws[0].etas == (0.1, 0.35, 0.6)
+    assert laws[0].weights == (1.0 / 8.0, 5.0 / 8.0, 2.0 / 8.0)
+
+
+@pytest.mark.parametrize(
+    "etas, weights, message",
+    [
+        ((0.1, 1.5, -0.2), (1.0, 1.0, 1.0), "bin eta must lie in the unit interval, got 1.5"),
+        ((0.1, math.nan), (1.0, 1.0), "bin eta must lie in the unit interval, got nan"),
+        ((0.1, 0.2, 0.3), (1.0, -0.5, 2.0), "bin weight must be nonnegative, got -0.5"),
+        # The first bad bin is named; within a bin, its eta first.
+        ((0.1, 0.2, 1.2), (1.0, -0.5, 2.0), "bin weight must be nonnegative, got -0.5"),
+        ((0.1, -0.2, 0.3), (1.0, -0.5, 2.0), "bin eta must lie in the unit interval, got -0.2"),
+        ((0.1, 0.2), (1.0, math.inf), "bin weights must sum to a positive finite value"),
+        ((0.1, 0.2), (0.0, 0.0), "bin weights must sum to a positive finite value"),
+        ((0.1, 0.2), (1.0,), "need matching, nonempty eta and weight sequences"),
+        ((), (), "need matching, nonempty eta and weight sequences"),
+    ],
+)
+def test_empirical_bad_bin_message(etas, weights, message):
+    with pytest.raises(ValueError) as err:
+        Empirical(etas, weights)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        Empirical(np.array(etas), np.array(weights))
+    assert str(err.value).split(", got ")[0] == message.split(", got ")[0]
+
+
+def test_atoms_are_arrays_for_atomic_laws():
+    law = Empirical((0.7, 0.1, 0.4), (1.0, 1.0, 2.0))
+    for atomic, etas, weights in [
+        (Dirac(0.3), [0.3], [1.0]),
+        (law, [0.1, 0.4, 0.7], [0.25, 0.5, 0.25]),
+        (Scaled(law, 0.5), [0.1 * 0.5, 0.4 * 0.5, 0.7 * 0.5], [0.25, 0.5, 0.25]),
+    ]:
+        got_etas, got_weights = atomic.atoms
+        for got, expected in ((got_etas, etas), (got_weights, weights)):
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            assert got.tolist() == expected
+    for continuous in (Beta(2.0, 2.0), TruncatedLogNormal(-1.0, 0.5), Scaled(Beta(2.0, 3.0), 0.5)):
+        assert continuous.atoms is None
+
+
 def test_scaled_moments_factor_out():
     inner = Beta(2.0, 2.0)
     s = Scaled(inner, 0.25)
@@ -600,7 +708,7 @@ def test_product_average_sums_atoms_in_one_pass(swapped):
     # One 1D expectation per atom, summed with the atom weights.
     expected = sum(
         w * smooth.expectation(lambda y, e=e: _vector_f(np.asarray(e), y))
-        for e, w in atoms.atoms
+        for e, w in zip(*atoms.atoms)
     )
     np.testing.assert_allclose(value, expected, rtol=1e-12, atol=0.0)
     assert len(calls) <= 20

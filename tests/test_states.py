@@ -113,6 +113,28 @@ def test_non_finite_squeezing_rejected(make, value):
         make(value)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: SingleModeGaussian(occ=v),
+        lambda v: SingleModeGaussian(mean=v),
+        lambda v: SingleModeGaussian(anom=complex(0.1, v)),
+        lambda v: squeezed_vacuum_db(-3.0, mean=v),
+        lambda v: tmsv(0.5, v, 0.0),
+        lambda v: tmsv(0.5, 0.0, complex(v, 0.2)),
+        lambda v: TwoModeMoments(occ_b=v),
+        lambda v: TwoModeMoments(pair=v),
+        lambda v: TwoModeMoments(exch=complex(0.0, v)),
+    ],
+    ids=["occ", "mean", "anom", "db-mean", "tmsv-mean-a", "tmsv-mean-b", "occ-b", "pair",
+         "exch"],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_moments_rejected(make, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        make(value)
+
+
 def test_mean_photons():
     assert squeezed_vacuum(0.7, mean=1.0 - 2.0j).mean_photons() == pytest.approx(
         math.sinh(0.7) ** 2 + 5.0, rel=1e-14
