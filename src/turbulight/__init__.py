@@ -13,7 +13,6 @@ from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureAccuracyError,
     QuadratureSpec,
-    RandomSource,
     integrate,
     integrate2,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "DEFAULT_QUADRATURE",
     "QuadratureAccuracyError",
     "QuadratureSpec",
-    "RandomSource",
     "integrate",
     "integrate2",
     # transmittance laws

@@ -118,9 +118,13 @@ def _check_keys(node, where, required, optional=()):
 def _as_real(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        real = float(value)
+    except OverflowError:
+        raise ConfigError(f"{where}: integer too large for a float") from None
+    if not math.isfinite(real):
         raise ConfigError(f"{where}: must be finite, got {value!r}")
-    return float(value)
+    return real
 
 
 def _as_str(value, where):
@@ -528,8 +532,9 @@ def _load_config(path):
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # JSONDecodeError, or an integer past Python's int-parsing digit limit.
+        raise ConfigError(f"config {path} is not readable JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     return raw

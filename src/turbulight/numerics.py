@@ -1,4 +1,4 @@
-"""Deterministic quadrature and seeded sampling.
+"""Deterministic adaptive quadrature.
 
 Every ensemble average over a fluctuating transmittance in this package is
 either a finite sum over atoms or an integral against a smooth density on a
@@ -40,19 +40,16 @@ axes of :func:`integrate2`), as in QUADPACK's ``qagp``: the starting panels
 then run between consecutive breakpoints, all at depth 0.  A peak much
 narrower than the first panel, whose 15 nodes all miss it, reads ~0 in
 both K15 and G7 and is never refined; breakpoints that bracket it let the
-rule see it.  Each transmittance law hands the rule its average as a
-chart (``TransmittanceDistribution.chart``): limits, breakpoints around its
-peaks, and a change of variables that makes a singular end smooth.
+rule see it, provided the peak leaves less than the tolerance outside
+them (see :func:`integrate`).  Each transmittance law hands the rule its
+average as a chart (``TransmittanceDistribution.chart``): limits,
+breakpoints around its peaks, and a change of variables that makes a
+singular end smooth.
 
 If the depth budget runs out before the tolerance is met, the integrator
 raises :class:`QuadratureAccuracyError` carrying its best estimate and a
 bound on the remaining error, so callers can fail loudly instead of
 silently returning garbage.
-
-Randomness is confined to :class:`RandomSource`, a (seed, stream) pair
-mapped onto numpy's counter-based Philox generator.  Identical pairs yield
-identical sample streams; distinct streams are statistically independent,
-which is what the Monte Carlo cross-checks in the test suite rely on.
 """
 
 from __future__ import annotations
@@ -65,7 +62,6 @@ import numpy as np
 __all__ = [
     "QuadratureSpec",
     "QuadratureAccuracyError",
-    "RandomSource",
     "DEFAULT_QUADRATURE",
     "integrate",
     "integrate2",
@@ -143,9 +139,11 @@ class QuadratureSpec:
     rel_tol and abs_tol combine into the acceptance threshold
     ``max(abs_tol, rel_tol * |I|)`` where |I| is the max-norm of the
     first whole-domain estimate.  max_depth limits how many times any
-    panel may be bisected (panel width shrinks as 2**-depth; the default
-    is generous: raw integrands singular at an endpoint refine for about
-    fifty levels, while smooth ones never get near it).
+    panel may be bisected (panel width shrinks as 2**-depth).  The
+    default of 60 is for raw :func:`integrate` callers whose integrand is
+    singular at an endpoint, which refine for about fifty levels.  No
+    law's ``chart`` hands the integrator such an integrand, and smooth
+    ones never get near the budget.
     """
 
     rel_tol: float = 1e-9
@@ -201,8 +199,13 @@ def integrate(f, a, b, spec=DEFAULT_QUADRATURE, points=()):
         alone.  Points outside the open interval (a, b) are dropped and
         repeated points merged; every starting panel has depth 0.  Points
         that bracket a peak the first panel would miss let the rule find
-        it.  A point at its centre alone does not: no node comes within
-        0.4 % of a panel's width of its ends.
+        it only if the peak's mass outside them is below the tolerance:
+        no node comes within 0.4 % of a panel's width of its ends, so a
+        tail that runs into a wide neighbouring panel can read ~0 in K15
+        and G7 alike and is lost without an error.  On [0, 1],
+        exp(-((x - 0.37) / 1e-4)**2) with points 0.37 +- 2e-4 (2 widths of
+        the peak) comes out 0.47 % low; with 0.37 +- 1e-3 it is exact.  A
+        point at the peak's centre alone does not find it either.
 
     Returns
     -------
@@ -361,36 +364,3 @@ def integrate2(f, ax, bx, ay, by, spec=DEFAULT_QUADRATURE, points_x=(), points_y
 
     return integrate(over_y, ax, bx, spec, points=points_x)
 
-
-_MASK64 = (1 << 64) - 1
-
-
-@dataclass(frozen=True)
-class RandomSource:
-    """Seed plus stream identifier for reproducible sampling.
-
-    The pair is mapped onto numpy's counter-based Philox bit generator, so
-    the same (seed, stream) always reproduces the same sample sequence and
-    different streams are independent.  ``child(k)`` derives a sub-stream
-    deterministically; joint-channel samplers use it to draw the two arms
-    from separate streams.
-    """
-
-    seed: int
-    stream: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.seed, (int, np.integer)):
-            raise TypeError("seed must be an integer")
-        if not isinstance(self.stream, (int, np.integer)):
-            raise TypeError("stream must be an integer")
-
-    def generator(self) -> np.random.Generator:
-        key = np.array(
-            [self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64
-        )
-        return np.random.Generator(np.random.Philox(key=key))
-
-    def child(self, k: int) -> "RandomSource":
-        """Derived source for sub-task k (binary-tree stream labeling)."""
-        return RandomSource(self.seed, (2 * self.stream + 1 + k) & _MASK64)

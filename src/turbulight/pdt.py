@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .numerics import DEFAULT_QUADRATURE, RandomSource, integrate, integrate2
+from .numerics import DEFAULT_QUADRATURE, integrate, integrate2
 
 __all__ = [
     "EmptySelectionError",
@@ -117,10 +117,10 @@ def _check_unit_interval(name, value, *, open_left=False, open_right=False):
 class TransmittanceDistribution:
     """Base class for one-mode transmittance laws.
 
-    Concrete subclasses implement ``moment``, ``survival``, ``sample``,
-    ``truncate``, ``support`` and either ``atoms`` (atomic laws: a pair
-    of read-only arrays ``(etas, weights)``) or ``chart`` (continuous
-    laws; the default chart needs ``density`` and may use ``edges``).
+    Concrete subclasses implement ``moment``, ``survival``, ``truncate``,
+    ``support`` and either ``atoms`` (atomic laws: a pair of read-only
+    arrays ``(etas, weights)``) or ``chart`` (continuous laws; the default
+    chart needs ``density`` and may use ``edges``).
     ``expectation`` sums over the atoms or integrates the chart.
     ``scale`` wraps the law in :class:`Scaled` unless a subclass has a
     closed form for it.
@@ -139,10 +139,6 @@ class TransmittanceDistribution:
 
     def survival(self, eta, include_equal=False):
         """P(X > eta), or P(X >= eta) when include_equal (vectorized)."""
-        raise NotImplementedError
-
-    def sample(self, n, rng: RandomSource) -> np.ndarray:
-        """n independent draws, reproducible for a fixed RandomSource."""
         raise NotImplementedError
 
     def truncate(self, threshold) -> "TransmittanceDistribution":
@@ -241,9 +237,6 @@ class Dirac(TransmittanceDistribution):
             out = np.where(eta < self.value, 1.0, 0.0)
         return out if out.ndim else float(out)
 
-    def sample(self, n, rng):
-        return np.full(n, self.value)
-
     def truncate(self, threshold):
         _check_unit_interval("threshold", threshold, open_right=True)
         if self.value >= threshold:
@@ -324,10 +317,6 @@ class Empirical(TransmittanceDistribution):
         if eta_arr.ndim == 0:
             return float(out[0])
         return out.reshape(eta_arr.shape)
-
-    def sample(self, n, rng):
-        e, w = self._atoms
-        return e[rng.generator().choice(e.size, size=n, p=w)]
 
     def truncate(self, threshold):
         _check_unit_interval("threshold", threshold, open_right=True)
@@ -459,12 +448,6 @@ class Beta(TransmittanceDistribution):
         out = np.where(eta < self.lo, 1.0, np.where(eta >= 1.0, 0.0, surv))
         return out if out.ndim else float(out)
 
-    def sample(self, n, rng):
-        gen = rng.generator()
-        u = gen.random(n)
-        cdf_lo = float(special.betainc(self.p, self.q, self.lo)) if self.lo else 0.0
-        return special.betaincinv(self.p, self.q, cdf_lo + u * (1.0 - cdf_lo))
-
     def truncate(self, threshold):
         _check_unit_interval("threshold", threshold, open_right=True)
         new_lo = max(self.lo, threshold)
@@ -498,10 +481,6 @@ class TruncatedLogNormal(TransmittanceDistribution):
 
     def _z(self, eta):
         return (np.log(eta) - self.mu) / self.sigma
-
-    def _cdf_plain(self, eta):
-        # Untruncated log-normal CDF, elementwise, eta > 0 assumed.
-        return special.ndtr(self._z(eta))
 
     def _log_mass(self, shift=0.0):
         """log[Phi(z_hi) - Phi(z_lo)] at z_hi = -mu/s - shift and
@@ -583,20 +562,6 @@ class TruncatedLogNormal(TransmittanceDistribution):
         out = np.where(eta <= lo, 1.0, np.where(eta >= 1.0, 0.0, surv))
         return out if out.ndim else float(out)
 
-    def sample(self, n, rng):
-        gen = rng.generator()
-        u = gen.random(n)
-        z_hi = -self.mu / self.sigma
-        z_lo = float(self._z(self.lo)) if self.lo > 0.0 else -math.inf
-        if z_lo > _UPPER_TAIL_Z:
-            # Invert the survival function, whose values keep their digits.
-            sf_lo = float(special.ndtr(-z_lo))
-            sf_hi = float(special.ndtr(-z_hi))
-            return np.exp(self.mu - self.sigma * special.ndtri(sf_lo + u * (sf_hi - sf_lo)))
-        cdf_hi = float(special.ndtr(z_hi))
-        cdf_lo = float(self._cdf_plain(self.lo)) if self.lo > 0.0 else 0.0
-        return np.exp(self.mu + self.sigma * special.ndtri(cdf_lo + u * (cdf_hi - cdf_lo)))
-
     def truncate(self, threshold):
         _check_unit_interval("threshold", threshold, open_right=True)
         selected = TruncatedLogNormal(self.mu, self.sigma, max(self.lo, threshold))
@@ -644,9 +609,6 @@ class Scaled(TransmittanceDistribution):
         gone = scaled > 1.0 if include_equal else scaled >= 1.0
         out = np.where(gone, 0.0, inner_surv)
         return out if out.ndim else float(out)
-
-    def sample(self, n, rng):
-        return self.factor * self.inner.sample(n, rng)
 
     def truncate(self, threshold):
         _check_unit_interval("threshold", threshold, open_right=True)
@@ -698,10 +660,6 @@ class JointTransmittanceDistribution:
 
     def average(self, f, spec=DEFAULT_QUADRATURE):
         """<f(eta_a, eta_b)> for broadcasting, possibly vector-valued f."""
-        raise NotImplementedError
-
-    def sample(self, n, rng: RandomSource):
-        """n joint draws, returned as a pair of arrays (eta_a, eta_b)."""
         raise NotImplementedError
 
     def preselect(self, threshold) -> "JointTransmittanceDistribution":
@@ -780,12 +738,6 @@ class Product(JointTransmittanceDistribution):
     def average(self, f, spec=DEFAULT_QUADRATURE):
         return _average_product(self.a, self.b, f, spec)
 
-    def sample(self, n, rng):
-        return (
-            self.a.sample(n, rng.child(0)),
-            self.b.sample(n, rng.child(1)),
-        )
-
     def preselect(self, threshold):
         return Product(self.a.truncate(threshold), self.b.truncate(threshold))
 
@@ -806,10 +758,6 @@ class PerfectlyCorrelated(JointTransmittanceDistribution):
 
     def average(self, f, spec=DEFAULT_QUADRATURE):
         return self.dist.expectation(lambda e: f(e, e), spec)
-
-    def sample(self, n, rng):
-        e = self.dist.sample(n, rng.child(0))
-        return (e, e.copy())
 
     def preselect(self, threshold):
         return PerfectlyCorrelated(self.dist.truncate(threshold))
@@ -860,12 +808,6 @@ class AdaptiveCorrelated(JointTransmittanceDistribution):
 
     def average(self, f, spec=DEFAULT_QUADRATURE):
         return self._min_expectation(lambda m: f(m, m), spec)
-
-    def sample(self, n, rng):
-        raw_a = self.a.sample(n, rng.child(0))
-        raw_b = self.b.sample(n, rng.child(1))
-        m = np.minimum(raw_a, raw_b)
-        return (m, m.copy())
 
     def preselect(self, threshold):
         return AdaptiveCorrelated(

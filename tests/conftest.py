@@ -1,8 +1,8 @@
 """Shared test configuration: determinism and acceptance reporting.
 
 The whole suite must produce identical results run to run, so hypothesis
-is derandomized; Monte Carlo tests draw through fixed-seed RandomSource
-objects for the same reason.
+is derandomized; Monte Carlo tests draw transmittances with the samplers
+of oracles.py from numpy generators of a fixed seed for the same reason.
 
 Tests in test_acceptance.py are the release gate: each maps to one named
 criterion, and a terminal-summary hook prints an explicit PASS/FAIL line

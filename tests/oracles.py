@@ -14,6 +14,17 @@ import math
 import mpmath as mp
 import numpy as np
 
+from turbulight.pdt import (
+    AdaptiveCorrelated,
+    Beta,
+    Dirac,
+    Empirical,
+    PerfectlyCorrelated,
+    Product,
+    Scaled,
+    TruncatedLogNormal,
+)
+
 # ---------------------------------------------------------------------------
 # Fock-basis expansions of the two standard squeezed resources
 # ---------------------------------------------------------------------------
@@ -253,6 +264,51 @@ def heat_smoothed_quad_variance(mean, occ, anom, kappa, phase,
 # ---------------------------------------------------------------------------
 # Monte Carlo helpers
 # ---------------------------------------------------------------------------
+
+
+def _rejected(draw, lo, n):
+    """n draws kept inside [lo, 1], where ``draw(m)`` gives m raw draws."""
+    kept = np.empty(0)
+    while kept.size < n:
+        x = draw(n)
+        kept = np.concatenate([kept, x[(x >= lo) & (x <= 1.0)]])
+    return kept[:n]
+
+
+def sample_law(law, n, rng):
+    """n independent draws of a one-mode law, made from its parameters alone.
+
+    numpy's own generators do the drawing (``rng`` is a
+    ``numpy.random.Generator``): a choice over the bins of an atomic law,
+    ``rng.beta`` and ``rng.lognormal`` rejected to [lo, 1] for the
+    continuous ones, so no draw passes through the library's CDF formulas.
+    Rejection needs the law to keep a fair share of its parent's mass.
+    """
+    if isinstance(law, Scaled):
+        return law.factor * sample_law(law.inner, n, rng)
+    if isinstance(law, Dirac):
+        return np.full(n, float(law.value))
+    if isinstance(law, Empirical):
+        etas = np.asarray(law.etas, dtype=float)
+        return etas[rng.choice(etas.size, size=n, p=law.weights)]
+    if isinstance(law, Beta):
+        return _rejected(lambda m: rng.beta(law.p, law.q, m), law.lo, n)
+    if isinstance(law, TruncatedLogNormal):
+        return _rejected(lambda m: rng.lognormal(law.mu, law.sigma, m), law.lo, n)
+    raise TypeError(f"no sampler for {type(law).__name__}")
+
+
+def sample_joint(joint, n, rng):
+    """n joint draws (eta_a, eta_b) of a two-mode law, as two arrays."""
+    if isinstance(joint, Product):
+        return sample_law(joint.a, n, rng), sample_law(joint.b, n, rng)
+    if isinstance(joint, PerfectlyCorrelated):
+        e = sample_law(joint.dist, n, rng)
+        return e, e.copy()
+    if isinstance(joint, AdaptiveCorrelated):
+        m = np.minimum(sample_law(joint.a, n, rng), sample_law(joint.b, n, rng))
+        return m, m.copy()
+    raise TypeError(f"no sampler for {type(joint).__name__}")
 
 
 def batch_statistic(values, statistic, batches=50):

@@ -11,6 +11,7 @@ from oracles import (
     mp_c_terms,
     mp_click_probabilities,
     mp_reciprocal_averages,
+    sample_joint,
 )
 from turbulight.bell import (
     DEFAULT_ANGLES_A,
@@ -25,7 +26,7 @@ from turbulight.bell import (
     _click_pair,
     _reciprocal_averages,
 )
-from turbulight.numerics import DEFAULT_QUADRATURE, RandomSource
+from turbulight.numerics import DEFAULT_QUADRATURE
 from turbulight.pdt import (
     Beta,
     Dirac,
@@ -153,7 +154,7 @@ def test_quadrature_matches_event_sampling():
     joint = Product(Beta(2.0, 2.0), Beta(2.0, 2.0))
     settings = _settings(0.3, joint, efficiency=0.85, noise=1e-3)
     b_quad = bell_parameter(settings)
-    etas = joint.sample(400_000, RandomSource(seed=31))
+    etas = sample_joint(joint, 400_000, np.random.default_rng(31))
     b_mc, se = mc_bell_parameter(etas, 0.85, 1e-3, 0.3,
                                  DEFAULT_ANGLES_A, DEFAULT_ANGLES_B)
     assert abs(b_quad - b_mc) < 4.0 * se

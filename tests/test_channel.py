@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
-from oracles import batch_statistic
+from oracles import batch_statistic, sample_joint
 from turbulight.channel import (
     attenuate_moment,
     characteristic_out,
     transform_two_mode,
 )
-from turbulight.numerics import RandomSource
 from turbulight.pdt import (
     AdaptiveCorrelated,
     Beta,
@@ -103,7 +102,7 @@ def test_fluctuating_excess_against_sampled_transmittance():
     state = _rich_state()
     joint = Product(Beta(2.0, 2.0), TruncatedLogNormal(-0.9, 0.5))
     out = transform_two_mode(state, joint)
-    ea, eb = joint.sample(400_000, RandomSource(seed=2024))
+    ea, eb = sample_joint(joint, 400_000, np.random.default_rng(2024))
     ta, tb = np.sqrt(ea), np.sqrt(eb)
     mu_a, mu_b = state.mean_a, state.mean_b
 

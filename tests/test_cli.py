@@ -347,6 +347,14 @@ def test_invalid_json_rejected(tmp_path, capsys):
     assert _stderr_category(capsys) == "config"
 
 
+def test_integer_past_the_parser_digit_limit_rejected(tmp_path, capsys):
+    # Well-formed JSON, but Python's int parsing refuses 5 001 digits.
+    path = tmp_path / "long.json"
+    path.write_text('{"q_in": 1' + "0" * 5000 + "}")
+    assert main(["--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert _stderr_category(capsys) == "config"
+
+
 def test_non_object_root_rejected(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")
@@ -405,6 +413,29 @@ def test_mandel_schema_violations(tmp_path, capsys, patch):
     cfg_path = _write_config(tmp_path, cfg)
     assert main(["--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
     assert _stderr_category(capsys) == "config"
+
+
+@pytest.mark.parametrize(
+    "patch, key",
+    [
+        ({"n_grid": [10**400]}, "config.n_grid[0]"),
+        ({"pdt": {"family": "dirac", "eta": 10**400}}, "config.pdt.eta"),
+    ],
+    ids=["grid-entry", "law-parameter"],
+)
+def test_number_beyond_float_range_is_a_config_error(tmp_path, capsys, patch, key):
+    cfg = {
+        "scenario": "mandel",
+        "pdt": {"family": "beta", "p": 1.0, "q": 1.0},
+        "q_in": -0.5,
+        "n_grid": [1.0],
+    }
+    cfg.update(patch)
+    cfg_path = _write_config(tmp_path, cfg)
+    assert main(["--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["category"] == "config"
+    assert payload["message"].startswith(f"{key}: ")
 
 
 def test_dgcz_requires_positive_squeezing(tmp_path, capsys):

@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import heat_smoothed_quad_variance, mc_quadrature_variance
+from oracles import heat_smoothed_quad_variance, mc_quadrature_variance, sample_law
 from turbulight.homodyne import (
     HomodyneModel,
     noisy_variance,
     postselect_sweep,
     squeeze_out,
 )
-from turbulight.numerics import RandomSource
 from turbulight.pdt import Beta, Dirac, Scaled, TruncatedLogNormal
 from turbulight.states import (
     SingleModeGaussian,
@@ -57,7 +56,7 @@ def test_transfer_matches_sampled_total_variance():
     assert state.quad_mean(0.0) == pytest.approx(1.0, rel=1e-13)
     dist = Beta(2.0, 2.0)
     predicted = squeeze_out(state, dist)
-    etas = dist.sample(400_000, RandomSource(seed=60))
+    etas = sample_law(dist, 400_000, np.random.default_rng(60))
     est, se = mc_quadrature_variance(
         state.quad_mean(0.0), state.quad_variance_normal(0.0), etas
     )

@@ -11,7 +11,6 @@ from turbulight.numerics import (
     DEFAULT_QUADRATURE,
     QuadratureAccuracyError,
     QuadratureSpec,
-    RandomSource,
     integrate,
     integrate2,
 )
@@ -311,27 +310,6 @@ def test_max_depth_bounds_panels_started_from_points():
 def test_integrate_is_deterministic():
     f = lambda x: np.sqrt(np.abs(np.sin(13.0 * x)))
     assert integrate(f, 0.0, 2.0) == integrate(f, 0.0, 2.0)
-
-
-def test_random_source_reproduces_streams():
-    a = RandomSource(seed=42).generator().uniform(size=5)
-    b = RandomSource(seed=42).generator().uniform(size=5)
-    np.testing.assert_array_equal(a, b)
-
-
-def test_random_source_children_are_distinct():
-    root = RandomSource(seed=7)
-    left = root.child(0)
-    right = root.child(1)
-    assert left != right != root
-    u_left = left.generator().uniform(size=4)
-    u_right = right.generator().uniform(size=4)
-    assert not np.allclose(u_left, u_right)
-
-
-def test_random_source_rejects_non_integers():
-    with pytest.raises(TypeError):
-        RandomSource(seed=0.5)
 
 
 def test_quadrature_spec_validation():

@@ -13,9 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate as sp_integrate
 from scipy import special
 
+from oracles import sample_joint, sample_law
 from turbulight import pdt
 from turbulight.bell import BellSettings, bell_parameter
-from turbulight.numerics import QuadratureAccuracyError, RandomSource
+from turbulight.numerics import QuadratureAccuracyError
 from turbulight.pdt import (
     AdaptiveCorrelated,
     Beta,
@@ -320,10 +321,6 @@ def test_lognormal_truncation_deep_in_upper_tail():
     assert dist.mean() == pytest.approx(
         mp_lognormal_moment(mu, sigma, threshold, 1.0), rel=1e-11
     )
-    draws = dist.sample(20_000, RandomSource(seed=9))
-    assert threshold <= draws.min() and draws.max() <= 1.0
-    se = draws.std() / math.sqrt(draws.size)
-    assert abs(draws.mean() - dist.mean()) < 4.0 * se
     # Beyond every representable mass the selection is empty, as before.
     with pytest.raises(EmptySelectionError):
         TruncatedLogNormal(-50.0, 0.3).truncate(0.9)
@@ -620,12 +617,9 @@ def test_truncation_raises_conditional_mean(dist, threshold):
         Scaled(Beta(2.0, 2.0), 0.5),
     ],
 )
-def test_sampling_matches_mean_and_is_reproducible(dist):
-    rng = RandomSource(seed=123)
+def test_sampling_matches_mean_and_support(dist):
     n = 200_000
-    draws = dist.sample(n, rng)
-    again = dist.sample(n, RandomSource(seed=123))
-    np.testing.assert_array_equal(draws, again)
+    draws = sample_law(dist, n, np.random.default_rng(123))
     lo, hi = dist.support
     assert draws.min() >= lo - 1e-12 and draws.max() <= hi + 1e-12
     se = draws.std() / math.sqrt(n)
@@ -634,7 +628,7 @@ def test_sampling_matches_mean_and_is_reproducible(dist):
 
 def test_truncated_sampling_respects_threshold():
     dist = TruncatedLogNormal(-1.2, 0.8).truncate(0.35)
-    draws = dist.sample(50_000, RandomSource(seed=5))
+    draws = sample_law(dist, 50_000, np.random.default_rng(5))
     assert draws.min() >= 0.35
     se = draws.std() / math.sqrt(draws.size)
     assert abs(draws.mean() - dist.mean()) < 4.0 * se + 1e-12
@@ -850,7 +844,7 @@ def test_adaptive_min_law_matches_monte_carlo():
     a = Beta(2.0, 2.0)
     b = Beta(3.0, 1.5)
     joint = AdaptiveCorrelated(a, b)
-    ea, eb = joint.sample(200_000, RandomSource(seed=77))
+    ea, eb = sample_joint(joint, 200_000, np.random.default_rng(77))
     np.testing.assert_array_equal(ea, eb)
     se = ea.std() / math.sqrt(ea.size)
     assert abs(ea.mean() - joint.t_moment(2, 0)) < 4.0 * se
@@ -871,19 +865,3 @@ def test_joint_preselection_truncates_support():
     assert joint.support_inf == (0.5, 0.5)
     corr = PerfectlyCorrelated(TruncatedLogNormal(-1.0, 0.8)).preselect(0.25)
     assert corr.support_inf == (0.25, 0.25)
-
-
-def test_joint_sampling_is_reproducible_and_independent_streams():
-    joint = Product(Beta(2.0, 2.0), Beta(2.0, 2.0))
-    ea, eb = joint.sample(2_000, RandomSource(seed=3))
-    ea2, eb2 = joint.sample(2_000, RandomSource(seed=3))
-    np.testing.assert_array_equal(ea, ea2)
-    np.testing.assert_array_equal(eb, eb2)
-    assert not np.allclose(ea, eb)
-
-
-def test_correlated_sampling_shares_realization():
-    joint = PerfectlyCorrelated(Beta(2.0, 2.0))
-    ea, eb = joint.sample(100, RandomSource(seed=11))
-    np.testing.assert_array_equal(ea, eb)
-    assert ea is not eb
