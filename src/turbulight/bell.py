@@ -50,11 +50,11 @@ singular regime (t -> 1 with lossy support) raise
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import DEFAULT_QUADRATURE
 from .pdt import EmptySelectionError, JointTransmittanceDistribution
 from .photocount import DetectorModel
 
@@ -95,9 +95,17 @@ class BellSettings:
     def __post_init__(self):
         if not (np.isfinite(self.squeezing) and self.squeezing >= 0.0):
             raise ValueError("squeeze parameter must be finite and nonnegative")
-        for name, angles in (("angles_a", self.angles_a), ("angles_b", self.angles_b)):
-            if len(angles) != 2 or not all(np.isfinite(a) for a in angles):
+        for name in ("angles_a", "angles_b"):
+            try:
+                pair = tuple(getattr(self, name))
+                ok = len(pair) == 2 and all(
+                    isinstance(a, numbers.Real) and math.isfinite(a) for a in pair
+                )
+            except (TypeError, OverflowError):  # not iterable; an int past the float range
+                ok = False
+            if not ok:
                 raise ValueError(f"{name} must be two finite analyzer angles")
+            object.__setattr__(self, name, tuple(float(a) for a in pair))
 
 
 @dataclass(frozen=True)
@@ -178,7 +186,7 @@ def _guard_singularity(settings: BellSettings):
         )
 
 
-def _reciprocal_averages(settings, angle_pairs, spec):
+def _reciprocal_averages(settings, angle_pairs):
     """PDT averages of the reciprocal terms, one shared adaptive pass.
 
     Returns (per_pair, a2, a3, a4) where per_pair[k] = (<1/(D + C_same)>,
@@ -227,7 +235,7 @@ def _reciprocal_averages(settings, angle_pairs, spec):
         np.multiply(col, col, out=out[..., n + 2])
         return out
 
-    averages = np.asarray(settings.channel.average(integrand, spec), dtype=float)
+    averages = np.asarray(settings.channel.average(integrand), dtype=float)
     per_pair = [(averages[i], averages[j]) for i, j in index]
     return per_pair, averages[n], averages[n + 1], averages[n + 2]
 
@@ -241,12 +249,9 @@ def _click_pair(nu, t, a_same, a_diff, a2, a3, a4):
     return p_same, p_diff
 
 
-def click_probabilities(settings: BellSettings, theta_a, theta_b,
-                        spec=DEFAULT_QUADRATURE):
+def click_probabilities(settings: BellSettings, theta_a, theta_b):
     """Coincidence probabilities (P_same, P_different) at one angle pair."""
-    per_pair, a2, a3, a4 = _reciprocal_averages(
-        settings, [(theta_a, theta_b)], spec
-    )
+    per_pair, a2, a3, a4 = _reciprocal_averages(settings, [(theta_a, theta_b)])
     a_same, a_diff = per_pair[0]
     return _click_pair(
         settings.detector.noise_counts, _tanh2(settings.squeezing),
@@ -254,10 +259,9 @@ def click_probabilities(settings: BellSettings, theta_a, theta_b,
     )
 
 
-def correlation(settings: BellSettings, theta_a, theta_b,
-                spec=DEFAULT_QUADRATURE):
+def correlation(settings: BellSettings, theta_a, theta_b):
     """Correlation coefficient E = (P_same - P_diff)/(P_same + P_diff)."""
-    p_same, p_diff = click_probabilities(settings, theta_a, theta_b, spec)
+    p_same, p_diff = click_probabilities(settings, theta_a, theta_b)
     return _correlation_from_pair(p_same, p_diff)
 
 
@@ -271,7 +275,7 @@ def _correlation_from_pair(p_same, p_diff):
     return (p_same - p_diff) / total
 
 
-def bell_parameter(settings: BellSettings, spec=DEFAULT_QUADRATURE):
+def bell_parameter(settings: BellSettings):
     """CHSH combination of the four correlation coefficients.
 
     All four angle pairs share one adaptive pass, so their common terms
@@ -283,7 +287,7 @@ def bell_parameter(settings: BellSettings, spec=DEFAULT_QUADRATURE):
     ta1, ta2 = settings.angles_a
     tb1, tb2 = settings.angles_b
     pairs = [(ta1, tb1), (ta1, tb2), (ta2, tb1), (ta2, tb2)]
-    per_pair, a2, a3, a4 = _reciprocal_averages(settings, pairs, spec)
+    per_pair, a2, a3, a4 = _reciprocal_averages(settings, pairs)
     nu = settings.detector.noise_counts
     t = _tanh2(settings.squeezing)
     e = [
@@ -303,8 +307,7 @@ class SweepPoint:
     valid: bool
 
 
-def bell_sweep(settings: BellSettings, squeezing_grid=None,
-               preselection_grid=None, spec=DEFAULT_QUADRATURE):
+def bell_sweep(settings: BellSettings, squeezing_grid=None, preselection_grid=None):
     """Bell parameter along a squeeze-parameter or preselection sweep.
 
     Exactly one grid must be given.  Preselection truncates the channel's
@@ -317,7 +320,7 @@ def bell_sweep(settings: BellSettings, squeezing_grid=None,
     points = []
     if squeezing_grid is not None:
         for xi in squeezing_grid:
-            b = bell_parameter(replace(settings, squeezing=float(xi)), spec)
+            b = bell_parameter(replace(settings, squeezing=float(xi)))
             points.append(SweepPoint(float(xi), b, True))
         return points
     for threshold in preselection_grid:
@@ -326,6 +329,6 @@ def bell_sweep(settings: BellSettings, squeezing_grid=None,
         except EmptySelectionError:
             points.append(SweepPoint(float(threshold), math.nan, False))
             continue
-        b = bell_parameter(replace(settings, channel=selected), spec)
+        b = bell_parameter(replace(settings, channel=selected))
         points.append(SweepPoint(float(threshold), b, True))
     return points

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import DEFAULT_QUADRATURE
 from .pdt import JointTransmittanceDistribution, TransmittanceDistribution
 from .states import TwoModeMoments
 
@@ -36,43 +35,40 @@ __all__ = [
 ]
 
 
-def attenuate_moment(value, n, m, dist: TransmittanceDistribution,
-                     spec=DEFAULT_QUADRATURE):
+def attenuate_moment(value, n, m, dist: TransmittanceDistribution):
     """Channel output of one normally ordered moment <a^dag^n a^m> of one mode.
 
     <a^dag^n a^m>_out = <eta^{(n+m)/2}> <a^dag^n a^m>_in.
     """
     if n < 0 or m < 0 or n != int(n) or m != int(m):
         raise ValueError("moment orders must be nonnegative integers")
-    return dist.moment((n + m) / 2.0, spec) * value
+    return dist.moment((n + m) / 2.0) * value
 
 
-def arm_statistics(dist: TransmittanceDistribution, spec=DEFAULT_QUADRATURE):
+def arm_statistics(dist: TransmittanceDistribution):
     """(<T^2>, <(Delta T)^2>) of one arm's amplitude transmission T = sqrt(eta)."""
-    t2 = dist.moment(1.0, spec)
-    return t2, t2 - dist.moment(0.5, spec) ** 2
+    t2 = dist.moment(1.0)
+    return t2, t2 - dist.moment(0.5) ** 2
 
 
-def joint_statistics(joint: JointTransmittanceDistribution,
-                     spec=DEFAULT_QUADRATURE):
+def joint_statistics(joint: JointTransmittanceDistribution):
     """Amplitude-transmission statistics of a joint law, from five moments.
 
     Returns (ta1, tb1, ta2, tb2, tab, var_ta, var_tb, cov) with
     ta_j = <T_a^j>, tb_j = <T_b^j>, tab = <T_a T_b>, var_ta = ta2 - ta1^2,
     var_tb = tb2 - tb1^2 and cov = tab - ta1 tb1.
     """
-    ta1 = joint.t_moment(1, 0, spec)
-    tb1 = joint.t_moment(0, 1, spec)
-    ta2 = joint.t_moment(2, 0, spec)
-    tb2 = joint.t_moment(0, 2, spec)
-    tab = joint.t_moment(1, 1, spec)
+    ta1 = joint.t_moment(1, 0)
+    tb1 = joint.t_moment(0, 1)
+    ta2 = joint.t_moment(2, 0)
+    tb2 = joint.t_moment(0, 2)
+    tab = joint.t_moment(1, 1)
     return (ta1, tb1, ta2, tb2, tab,
             ta2 - ta1 * ta1, tb2 - tb1 * tb1, tab - ta1 * tb1)
 
 
 def transform_two_mode(state: TwoModeMoments,
-                       joint: JointTransmittanceDistribution,
-                       spec=DEFAULT_QUADRATURE) -> TwoModeMoments:
+                       joint: JointTransmittanceDistribution) -> TwoModeMoments:
     """Displaced Gaussian moments after a joint fluctuating-loss channel.
 
     With ta_j = <T_a^j>, tb_j = <T_b^j> and tab = <T_a T_b>:
@@ -87,7 +83,7 @@ def transform_two_mode(state: TwoModeMoments,
     (co)variances of the amplitude transmissions, which is how channel
     noise leaks the coherent displacement into the fluctuation moments.
     """
-    ta1, tb1, ta2, tb2, tab, var_ta, var_tb, cov_tab = joint_statistics(joint, spec)
+    ta1, tb1, ta2, tb2, tab, var_ta, var_tb, cov_tab = joint_statistics(joint)
     mu_a = complex(state.mean_a)
     mu_b = complex(state.mean_b)
 
@@ -103,8 +99,7 @@ def transform_two_mode(state: TwoModeMoments,
     )
 
 
-def characteristic_out(c_in, dist: TransmittanceDistribution, beta,
-                       spec=DEFAULT_QUADRATURE) -> complex:
+def characteristic_out(c_in, dist: TransmittanceDistribution, beta) -> complex:
     """Normally ordered characteristic function after the channel.
 
     C_out(beta) = < C_in(sqrt(eta) beta) > over the transmittance law.
@@ -116,6 +111,6 @@ def characteristic_out(c_in, dist: TransmittanceDistribution, beta,
         raise ValueError("characteristic function must satisfy C(0) = 1")
     beta = complex(beta)
 
-    re = dist.expectation(lambda e: np.real(c_in(np.sqrt(e) * beta)), spec)
-    im = dist.expectation(lambda e: np.imag(c_in(np.sqrt(e) * beta)), spec)
+    re = dist.expectation(lambda e: np.real(c_in(np.sqrt(e) * beta)))
+    im = dist.expectation(lambda e: np.imag(c_in(np.sqrt(e) * beta)))
     return complex(re, im)

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import arm_statistics, joint_statistics
-from .numerics import DEFAULT_QUADRATURE
 from .pdt import JointTransmittanceDistribution, TransmittanceDistribution
 from .states import TwoModeMoments
 
@@ -157,14 +156,13 @@ def dgcz_certifier(state: TwoModeMoments) -> CertifierResult:
 
 
 def dgcz_out_closed(state: TwoModeMoments,
-                    joint: JointTransmittanceDistribution,
-                    spec=DEFAULT_QUADRATURE) -> CertifierResult:
+                    joint: JointTransmittanceDistribution) -> CertifierResult:
     """2x2 certifier after the channel, without transforming the state.
 
     Needs only five amplitude-transmission moments of the joint law; the
     test suite pins it against certifying the transformed state directly.
     """
-    _, _, ta2, tb2, tab, var_ta, var_tb, cov = joint_statistics(joint, spec)
+    _, _, ta2, tb2, tab, var_ta, var_tb, cov = joint_statistics(joint)
     w_in = dgcz_matrix(state).partial_transpose().determinant()
     pair = complex(state.pair)
     mu_a = complex(state.mean_a)
@@ -202,15 +200,14 @@ def _displacement_form(state: TwoModeMoments, mean_a, mean_b):
 
 
 def dgcz_out_correlated(state: TwoModeMoments,
-                        dist: TransmittanceDistribution,
-                        spec=DEFAULT_QUADRATURE) -> CertifierResult:
+                        dist: TransmittanceDistribution) -> CertifierResult:
     """2x2 certifier after a channel both modes share (T_a = T_b).
 
     W_out = <T^2>^2 W_in + <DT^2><T^2> * (displacement form).  With zero
     displacement the sign of W_in is preserved for every transmittance
     law.
     """
-    t2, var_t = arm_statistics(dist, spec)
+    t2, var_t = arm_statistics(dist)
     w_in = dgcz_matrix(state).partial_transpose().determinant()
     value = t2 * t2 * w_in + var_t * t2 * _displacement_form(
         state, state.mean_a, state.mean_b

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import arm_statistics
-from .numerics import DEFAULT_QUADRATURE
 from .pdt import EmptySelectionError, TransmittanceDistribution
 from .states import SingleModeGaussian, variance_to_db
 
@@ -65,10 +64,9 @@ class HomodyneModel:
             raise ValueError("minimum transmittance must lie in (0, 1]")
 
 
-def squeeze_out(state: SingleModeGaussian, dist: TransmittanceDistribution,
-                phase=0.0, spec=DEFAULT_QUADRATURE):
+def squeeze_out(state: SingleModeGaussian, dist: TransmittanceDistribution, phase=0.0):
     """Normally ordered quadrature variance after the channel."""
-    t2, var_t = arm_statistics(dist, spec)
+    t2, var_t = arm_statistics(dist)
     return (
         t2 * state.quad_variance_normal(phase)
         + var_t * state.quad_mean(phase) ** 2
@@ -85,7 +83,7 @@ class SqueezeSweepPoint:
 
 
 def postselect_sweep(state: SingleModeGaussian, dist: TransmittanceDistribution,
-                     thresholds, phase=0.0, spec=DEFAULT_QUADRATURE):
+                     thresholds, phase=0.0):
     """Squeezing in dB versus postselection threshold.
 
     Thresholds whose truncation leaves no probability mass produce
@@ -99,13 +97,13 @@ def postselect_sweep(state: SingleModeGaussian, dist: TransmittanceDistribution,
         except EmptySelectionError:
             points.append(SqueezeSweepPoint(threshold, math.nan, False))
             continue
-        variance = squeeze_out(state, selected, phase, spec)
+        variance = squeeze_out(state, selected, phase)
         points.append(SqueezeSweepPoint(threshold, variance_to_db(variance), True))
     return points
 
 
 def noisy_variance(state: SingleModeGaussian, dist: TransmittanceDistribution,
-                   model: HomodyneModel, phase=0.0, spec=DEFAULT_QUADRATURE):
+                   model: HomodyneModel, phase=0.0):
     """Quadrature variance including homodyne postprocessing noise.
 
     Adds the channel-averaged diffusion term (nu / r^2) <eta^{-2}> on top
@@ -119,8 +117,8 @@ def noisy_variance(state: SingleModeGaussian, dist: TransmittanceDistribution,
             f"below the declared minimum {model.min_transmittance!r}; the "
             "postprocessing-noise average diverges on such channels"
         )
-    base = squeeze_out(state, dist, phase, spec)
+    base = squeeze_out(state, dist, phase)
     if model.noise_counts == 0.0:
         return base
-    inv2 = dist.moment(-2.0, spec)
+    inv2 = dist.moment(-2.0)
     return base + model.noise_counts / model.lo_amplitude**2 * inv2

@@ -50,6 +50,13 @@ If the depth budget runs out before the tolerance is met, the integrator
 raises :class:`QuadratureAccuracyError` carrying its best estimate and a
 bound on the remaining error, so callers can fail loudly instead of
 silently returning garbage.
+
+Tolerances are set where the quadrature runs.  :func:`integrate` and
+:func:`integrate2` take a :class:`QuadratureSpec`; every average of the
+package runs at :data:`DEFAULT_QUADRATURE`, except the count
+distributions of :mod:`turbulight.photocount`, which pass their tighter
+``_COUNT_QUADRATURE`` to ``TransmittanceDistribution.expectation``, the
+one law-level average that takes a spec.
 """
 
 from __future__ import annotations

@@ -32,6 +32,12 @@ normal integrals); other averages are exact sums for atomic laws, else the
 quadrature of :mod:`turbulight.numerics` over the law's ``chart``, in 1D
 and 2D alike.  A Beta chart takes each end of the support in its own
 variable, so a singular density reaches the quadrature smooth.
+
+Every quadrature average runs at ``numerics.DEFAULT_QUADRATURE``.
+:meth:`TransmittanceDistribution.expectation` is the one law-level
+average that takes a tolerance (``spec``); the count distributions of
+:mod:`turbulight.photocount` pass their tighter ``_COUNT_QUADRATURE``
+there.
 """
 
 from __future__ import annotations
@@ -101,6 +107,11 @@ class EmptySelectionError(ValueError):
         self.surviving_mass = surviving_mass
 
 
+def _weighted(values, w):
+    """values * w, the weights w broadcast over the trailing axes of values."""
+    return values * w.reshape(w.shape + (1,) * (values.ndim - w.ndim))
+
+
 def _frozen(a):
     """``a`` made read-only, so a law can hand out its arrays without copies."""
     a.flags.writeable = False
@@ -129,7 +140,7 @@ class TransmittanceDistribution:
 
     # ---- interface -----------------------------------------------------
 
-    def moment(self, k, spec=DEFAULT_QUADRATURE):
+    def moment(self, k):
         """<eta**k> for real k >= 0 (k = 0 gives exactly 1)."""
         raise NotImplementedError
 
@@ -181,36 +192,37 @@ class TransmittanceDistribution:
 
     # ---- shared helpers ------------------------------------------------
 
-    def mean(self, spec=DEFAULT_QUADRATURE):
-        return self.moment(1.0, spec)
+    def mean(self):
+        return self.moment(1.0)
 
-    def variance(self, spec=DEFAULT_QUADRATURE):
-        return self.moment(2.0, spec) - self.moment(1.0, spec) ** 2
+    def variance(self):
+        return self.moment(2.0) - self.moment(1.0) ** 2
 
-    def t_mean(self, spec=DEFAULT_QUADRATURE):
+    def t_mean(self):
         """<T> = <sqrt(eta)>."""
-        return self.moment(0.5, spec)
+        return self.moment(0.5)
 
-    def t_variance(self, spec=DEFAULT_QUADRATURE):
+    def t_variance(self):
         """<(Delta T)^2> = <eta> - <sqrt(eta)>^2."""
-        return self.moment(1.0, spec) - self.moment(0.5, spec) ** 2
+        return self.moment(1.0) - self.moment(0.5) ** 2
 
     def expectation(self, f, spec=DEFAULT_QUADRATURE):
-        """<f(eta)> for a vectorized, possibly vector-valued f."""
+        """<f(eta)> for a vectorized, possibly vector-valued f.
+
+        The one law-level average that takes a quadrature tolerance;
+        every other average of the package runs at ``DEFAULT_QUADRATURE``.
+        """
         atoms = self.atoms
         if atoms is not None:
             etas, weights = atoms
             values = np.asarray(f(etas))
-            w = weights.reshape(weights.shape + (1,) * (values.ndim - 1))
-            return np.sum(values * w, axis=0) if values.ndim > 1 else float(
-                np.sum(values * w)
-            )
+            terms = _weighted(values, weights)
+            return np.sum(terms, axis=0) if values.ndim > 1 else float(np.sum(terms))
         a, b, points, g = self.chart()
 
         def integrand(s):
             eta, w = g(s)
-            values = np.asarray(f(eta))
-            return values * w.reshape(w.shape + (1,) * (values.ndim - 1))
+            return _weighted(np.asarray(f(eta)), w)
 
         return integrate(integrand, a, b, spec, points=points)
 
@@ -224,7 +236,7 @@ class Dirac(TransmittanceDistribution):
     def __post_init__(self):
         _check_unit_interval("Dirac value", self.value)
 
-    def moment(self, k, spec=DEFAULT_QUADRATURE):
+    def moment(self, k):
         if k == 0:
             return 1.0
         return float(self.value**k)
@@ -302,7 +314,7 @@ class Empirical(TransmittanceDistribution):
         for a in (*self._atoms, self._tail):
             _frozen(a)
 
-    def moment(self, k, spec=DEFAULT_QUADRATURE):
+    def moment(self, k):
         if k == 0:
             return 1.0
         e, w = self._atoms
@@ -367,7 +379,7 @@ class Beta(TransmittanceDistribution):
             return 1.0
         return float(self._upper(self.p, self.lo))
 
-    def moment(self, k, spec=DEFAULT_QUADRATURE):
+    def moment(self, k):
         if k == 0:
             return 1.0
         if self.p + k <= 0.0:
@@ -378,7 +390,7 @@ class Beta(TransmittanceDistribution):
                     f"moment of order {k!r} diverges for Beta({self.p!r}, "
                     f"{self.q!r}) supported down to 0"
                 )
-            return float(self.expectation(lambda e: np.power(e, k), spec))
+            return float(self.expectation(lambda e: np.power(e, k)))
         # E[x^k; x >= lo] = B(p+k, q)/B(p, q) * (1 - I_lo(p+k, q))
         ratio = math.exp(special.betaln(self.p + k, self.q) - special.betaln(self.p, self.q))
         if self.lo == 0.0:
@@ -389,7 +401,7 @@ class Beta(TransmittanceDistribution):
 
     def density(self, eta):
         eta = np.asarray(eta, dtype=float)
-        inside = (eta >= self.lo) & (eta <= 1.0) & (eta > 0.0) & (eta < 1.0)
+        inside = (eta >= self.lo) & (eta > 0.0) & (eta < 1.0)
         log_norm = special.betaln(self.p, self.q) + math.log(self._mass())
         with np.errstate(divide="ignore", invalid="ignore"):
             logd = (
@@ -517,7 +529,7 @@ class TruncatedLogNormal(TransmittanceDistribution):
             )
         return mass
 
-    def moment(self, k, spec=DEFAULT_QUADRATURE):
+    def moment(self, k):
         if k == 0:
             return 1.0
         # E[x^k; a <= x <= 1] = exp(k mu + k^2 s^2 / 2)
@@ -530,7 +542,7 @@ class TruncatedLogNormal(TransmittanceDistribution):
 
     def density(self, eta):
         eta = np.asarray(eta, dtype=float)
-        inside = (eta > max(self.lo, 0.0)) & (eta <= 1.0) & (eta > 0.0)
+        inside = (eta > self.lo) & (eta <= 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             z = self._z(np.where(inside, eta, 0.5))
             d = np.exp(-0.5 * z * z) / (
@@ -542,7 +554,6 @@ class TruncatedLogNormal(TransmittanceDistribution):
 
     def survival(self, eta, include_equal=False):
         eta = np.asarray(eta, dtype=float)
-        lo = max(self.lo, 0.0)
         z_hi = -self.mu / self.sigma
         upper = float(special.ndtr(z_hi))
         log_eta = np.log(np.where(eta > 0.0, eta, 0.5))
@@ -559,7 +570,7 @@ class TruncatedLogNormal(TransmittanceDistribution):
             phi_hi = math.exp(-0.5 * z_hi * z_hi) / math.sqrt(2.0 * math.pi)
             kept[near] = phi_hi * _normal_mass_below(z_hi, -log_eta[near] / self.sigma)
         surv = kept / self._mass()
-        out = np.where(eta <= lo, 1.0, np.where(eta >= 1.0, 0.0, surv))
+        out = np.where(eta <= self.lo, 1.0, np.where(eta >= 1.0, 0.0, surv))
         return out if out.ndim else float(out)
 
     def truncate(self, threshold):
@@ -595,10 +606,10 @@ class Scaled(TransmittanceDistribution):
             object.__setattr__(self, "factor", self.factor * self.inner.factor)
             object.__setattr__(self, "inner", self.inner.inner)
 
-    def moment(self, k, spec=DEFAULT_QUADRATURE):
+    def moment(self, k):
         if k == 0:
             return 1.0
-        return float(self.factor**k) * self.inner.moment(k, spec)
+        return float(self.factor**k) * self.inner.moment(k)
 
     def survival(self, eta, include_equal=False):
         eta = np.asarray(eta, dtype=float)
@@ -654,11 +665,11 @@ class Scaled(TransmittanceDistribution):
 class JointTransmittanceDistribution:
     """Joint law of the amplitude transmissions (T_a, T_b) of two arms."""
 
-    def t_moment(self, j, k, spec=DEFAULT_QUADRATURE):
+    def t_moment(self, j, k):
         """<T_a**j * T_b**k> with T = sqrt(eta), for real j, k >= 0."""
         raise NotImplementedError
 
-    def average(self, f, spec=DEFAULT_QUADRATURE):
+    def average(self, f):
         """<f(eta_a, eta_b)> for broadcasting, possibly vector-valued f."""
         raise NotImplementedError
 
@@ -672,7 +683,7 @@ class JointTransmittanceDistribution:
         raise NotImplementedError
 
 
-def _average_product(da, db, f, spec):
+def _average_product(da, db, f):
     """<f>: an atomic arm summed inside one pass over the other, else 2D in charts.
 
     With atoms (e_i, w_i) on one arm, <f> = E_y[g(y)] for the atom-weighted
@@ -683,7 +694,7 @@ def _average_product(da, db, f, spec):
     """
     atoms_a = da.atoms
     if atoms_a is None and db.atoms is not None:
-        return _average_product(db, da, lambda y, x: f(x, y), spec)
+        return _average_product(db, da, lambda y, x: f(x, y))
     if atoms_a is not None:
         ea, wa = atoms_a
         atom_step = min(ea.size, _BLOCK_ELEMENTS)
@@ -706,7 +717,7 @@ def _average_product(da, db, f, spec):
                 rows.append(acc)
             return np.concatenate(rows)
 
-        return db.expectation(weighted, spec)
+        return db.expectation(weighted)
     (a_x, b_x, points_x, g_x), (a_y, b_y, points_y, g_y) = da.chart(), db.chart()
     # The chart values of a batch of outer nodes, reused by its inner calls.
     outer = [None, None, None]
@@ -717,11 +728,10 @@ def _average_product(da, db, f, spec):
             outer[:] = s.copy(), *g_x(s)
         eta_y, w_y = g_y(t.ravel())
         values = np.asarray(f(outer[1][:, None], eta_y[None, :]))
-        w = outer[2][:, None] * w_y[None, :]
-        return values * w.reshape(w.shape + (1,) * (values.ndim - 2))
+        return _weighted(values, outer[2][:, None] * w_y[None, :])
 
     return integrate2(
-        integrand, a_x, b_x, a_y, b_y, spec, points_x=points_x, points_y=points_y
+        integrand, a_x, b_x, a_y, b_y, points_x=points_x, points_y=points_y
     )
 
 
@@ -732,11 +742,11 @@ class Product(JointTransmittanceDistribution):
     a: TransmittanceDistribution
     b: TransmittanceDistribution
 
-    def t_moment(self, j, k, spec=DEFAULT_QUADRATURE):
-        return self.a.moment(j / 2.0, spec) * self.b.moment(k / 2.0, spec)
+    def t_moment(self, j, k):
+        return self.a.moment(j / 2.0) * self.b.moment(k / 2.0)
 
-    def average(self, f, spec=DEFAULT_QUADRATURE):
-        return _average_product(self.a, self.b, f, spec)
+    def average(self, f):
+        return _average_product(self.a, self.b, f)
 
     def preselect(self, threshold):
         return Product(self.a.truncate(threshold), self.b.truncate(threshold))
@@ -752,12 +762,12 @@ class PerfectlyCorrelated(JointTransmittanceDistribution):
 
     dist: TransmittanceDistribution
 
-    def t_moment(self, j, k, spec=DEFAULT_QUADRATURE):
+    def t_moment(self, j, k):
         # Depends on j + k only: T_a = T_b almost surely.
-        return self.dist.moment((j + k) / 2.0, spec)
+        return self.dist.moment((j + k) / 2.0)
 
-    def average(self, f, spec=DEFAULT_QUADRATURE):
-        return self.dist.expectation(lambda e: f(e, e), spec)
+    def average(self, f):
+        return self.dist.expectation(lambda e: f(e, e))
 
     def preselect(self, threshold):
         return PerfectlyCorrelated(self.dist.truncate(threshold))
@@ -781,33 +791,31 @@ class AdaptiveCorrelated(JointTransmittanceDistribution):
     a: TransmittanceDistribution
     b: TransmittanceDistribution
 
-    def _min_expectation(self, h, spec):
+    def _min_expectation(self, h):
         # E[h(min(X, Y))] = E_X[h(x) P(Y > x)] + E_Y[h(y) P(X >= y)]
         # The strict/inclusive split double-counts no ties and handles
         # atomic laws exactly.
-        def fa(x):
-            values = np.asarray(h(x))
-            w = np.asarray(self.b.survival(x, include_equal=False))
-            return values * w.reshape(w.shape + (1,) * (values.ndim - 1))
+        def above(other, include_equal):
+            def f(x):
+                values = np.asarray(h(x))
+                w = np.asarray(other.survival(x, include_equal=include_equal))
+                return _weighted(values, w)
 
-        def fb(y):
-            values = np.asarray(h(y))
-            w = np.asarray(self.a.survival(y, include_equal=True))
-            return values * w.reshape(w.shape + (1,) * (values.ndim - 1))
+            return f
 
-        term_a = np.asarray(self.a.expectation(fa, spec))
-        term_b = np.asarray(self.b.expectation(fb, spec))
+        term_a = np.asarray(self.a.expectation(above(self.b, False)))
+        term_b = np.asarray(self.b.expectation(above(self.a, True)))
         total = term_a + term_b
         return total if total.ndim else float(total)
 
-    def t_moment(self, j, k, spec=DEFAULT_QUADRATURE):
+    def t_moment(self, j, k):
         s = (j + k) / 2.0
         if s == 0:
             return 1.0
-        return self._min_expectation(lambda m: np.power(m, s), spec)
+        return self._min_expectation(lambda m: np.power(m, s))
 
-    def average(self, f, spec=DEFAULT_QUADRATURE):
-        return self._min_expectation(lambda m: f(m, m), spec)
+    def average(self, f):
+        return self._min_expectation(lambda m: f(m, m))
 
     def preselect(self, threshold):
         return AdaptiveCorrelated(

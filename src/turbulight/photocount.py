@@ -180,7 +180,7 @@ def _noise_cutoff(mean, tail, offset=0):
 
 
 def count_distribution_fock(input_probs, dist: TransmittanceDistribution,
-                            det: DetectorModel, spec=_COUNT_QUADRATURE) -> PhotonNumberDist:
+                            det: DetectorModel) -> PhotonNumberDist:
     """Counted-photon distribution for a Fock-diagonal input.
 
     ``input_probs[m]`` is the input m-photon probability.  Conditioned on a
@@ -247,13 +247,13 @@ def count_distribution_fock(input_probs, dist: TransmittanceDistribution,
             out[rows] = (weights @ block) @ band
         return out
 
-    averaged = dist.expectation(conditional, spec)
+    averaged = dist.expectation(conditional, _COUNT_QUADRATURE)
     averaged = np.asarray(averaged).reshape(-1)
     return PhotonNumberDist(averaged)
 
 
 def count_distribution_coherent(alpha, dist: TransmittanceDistribution,
-                                det: DetectorModel, spec=_COUNT_QUADRATURE) -> PhotonNumberDist:
+                                det: DetectorModel) -> PhotonNumberDist:
     """Counted-photon distribution for a coherent input |alpha>.
 
     Conditioned on eta the counts are Poissonian with mean
@@ -284,13 +284,12 @@ def count_distribution_coherent(alpha, dist: TransmittanceDistribution,
         )
         return out
 
-    averaged = dist.expectation(conditional, spec)
+    averaged = dist.expectation(conditional, _COUNT_QUADRATURE)
     averaged = np.asarray(averaged).reshape(-1)
     return PhotonNumberDist(averaged)
 
 
-def mandel_out(q_in, n_in, dist: TransmittanceDistribution, det: DetectorModel,
-               spec=None):
+def mandel_out(q_in, n_in, dist: TransmittanceDistribution, det: DetectorModel):
     """Mandel parameter after the channel, in closed form.
 
     q_in and n_in are the input Mandel parameter and mean photon number.

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _PHYS_TOL = 1e-10
+_UNCERTAINTY_TOL = 1e-9  # slack on the smallest eigenvalue in is_physical
 
 
 def _check_finite(moments):
@@ -158,7 +159,7 @@ class TwoModeMoments:
         sigma[1, 2] = sigma[2, 1] = pr.imag - ex.imag
         return sigma
 
-    def is_physical(self, tol=1e-9) -> bool:
+    def is_physical(self) -> bool:
         """Check sigma + (i/2) Omega >= 0 (bosonic uncertainty relation)."""
         sigma = self.covariance_xp().astype(complex)
         omega = np.zeros((4, 4))
@@ -166,7 +167,7 @@ class TwoModeMoments:
             omega[m, m + 1] = 1.0
             omega[m + 1, m] = -1.0
         eigs = np.linalg.eigvalsh(sigma + 0.5j * omega)
-        return bool(eigs.min() >= -tol)
+        return bool(eigs.min() >= -_UNCERTAINTY_TOL)
 
     def mean_photons(self):
         return (

@@ -26,7 +26,6 @@ from turbulight.bell import (
     _click_pair,
     _reciprocal_averages,
 )
-from turbulight.numerics import DEFAULT_QUADRATURE
 from turbulight.pdt import (
     Beta,
     Dirac,
@@ -71,9 +70,7 @@ def test_integrand_components_match_high_precision(squeezing):
     for eta_a, eta_b, efficiency in ((0.83, 0.61, 0.9), (0.05, 0.1, 0.9)):
         channel = Product(Dirac(eta_a), Dirac(eta_b))
         settings = _settings(squeezing, channel, efficiency=efficiency)
-        per_pair, a2, a3, a4 = _reciprocal_averages(
-            settings, pairs, DEFAULT_QUADRATURE
-        )
+        per_pair, a2, a3, a4 = _reciprocal_averages(settings, pairs)
         got = [v for pair in per_pair for v in pair] + [a2, a3, a4]
         expected = mp_reciprocal_averages(eta_a, eta_b, efficiency, squeezing, pairs)
         assert got == pytest.approx(expected, rel=1e-14, abs=0)
@@ -225,9 +222,9 @@ class _WidthSpy(Product):
 
     widths = []
 
-    def average(self, f, spec=DEFAULT_QUADRATURE):
+    def average(self, f):
         self.widths.append(np.shape(f(np.array([0.5]), np.array([0.5])))[-1])
-        return super().average(f, spec)
+        return super().average(f)
 
 
 @pytest.mark.parametrize("angle_set", sorted(ANGLE_SETS))
@@ -335,6 +332,23 @@ def test_settings_validation():
     with pytest.raises(ValueError):
         BellSettings(squeezing=0.1, detector=det, channel=channel,
                      angles_a=(0.0, 1.0, 2.0))
+
+
+@pytest.mark.parametrize("angles", [0.3, ("x", 0.1)], ids=["scalar", "non-number"])
+def test_settings_reject_angles_that_are_not_two_numbers(angles):
+    channel = Product(Dirac(0.5), Dirac(0.5))
+    with pytest.raises(ValueError, match="angles_a must be two finite analyzer angles"):
+        BellSettings(squeezing=0.1, detector=DetectorModel(), channel=channel,
+                     angles_a=angles)
+
+
+def test_settings_store_angles_as_a_tuple():
+    channel = Product(Dirac(0.5), Dirac(0.5))
+    settings = BellSettings(0.1, DetectorModel(), channel, angles_a=[0.0, 0.5],
+                            angles_b=np.array([0.25, 0.75]))
+    assert settings.angles_a == (0.0, 0.5)
+    assert settings.angles_b == (0.25, 0.75)
+    assert type(settings.angles_b) is tuple
 
 
 def test_squeezing_sweep_matches_pointwise_evaluation():

@@ -2,14 +2,17 @@
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
+import re
 
 import turbulight
 
 # The command-line front end is run as a program, not re-exported.
 _FRONT_ENDS = {"cli"}
 _RANDOM_MODULES = ("random", "numpy.random", "np.random")
+_README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_package_all_is_the_union_of_module_all():
@@ -44,3 +47,34 @@ def test_library_draws_no_random_numbers():
             for name in _used_names(node):
                 random = any(name == m or name.startswith(m + ".") for m in _RANDOM_MODULES)
                 assert not random, f"{path.name}:{node.lineno} uses {name}"
+
+
+def _public_callables():
+    """Exported functions and the public methods of exported classes."""
+    for name in turbulight.__all__:
+        obj = getattr(turbulight, name)
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            for attr in dir(obj):
+                method = getattr(obj, attr)
+                if not attr.startswith("_") and inspect.isfunction(method):
+                    yield method
+
+
+def test_only_the_integrators_and_expectation_take_a_quadrature_spec():
+    # Tolerances are set where the quadrature runs: every average of the
+    # package uses DEFAULT_QUADRATURE except the count distributions, which
+    # hand their own tolerance to expectation.
+    with_spec = {
+        fn.__qualname__ for fn in _public_callables()
+        if "spec" in inspect.signature(fn).parameters
+    }
+    assert with_spec == {"integrate", "integrate2", "TransmittanceDistribution.expectation"}
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", _README.read_text(), re.M | re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"), {})
