@@ -60,11 +60,9 @@ from .bell import (
     DEFAULT_ANGLES_B,
     BellSettings,
     BellSingularityError,
-    CTerms,
     SweepPoint,
     bell_parameter,
     bell_sweep,
-    c_terms,
     click_probabilities,
     correlation,
 )
@@ -135,11 +133,9 @@ __all__ = [
     "DEFAULT_ANGLES_B",
     "BellSettings",
     "BellSingularityError",
-    "CTerms",
     "SweepPoint",
     "bell_parameter",
     "bell_sweep",
-    "c_terms",
     "click_probabilities",
     "correlation",
     # homodyne squeezing

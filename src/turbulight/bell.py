@@ -63,9 +63,7 @@ __all__ = [
     "DEFAULT_ANGLES_B",
     "BellSettings",
     "BellSingularityError",
-    "CTerms",
     "SweepPoint",
-    "c_terms",
     "click_probabilities",
     "correlation",
     "bell_parameter",
@@ -108,17 +106,6 @@ class BellSettings:
             object.__setattr__(self, name, tuple(float(a) for a in pair))
 
 
-@dataclass(frozen=True)
-class CTerms:
-    """The five conditional-probability polynomials at fixed (eta_A, eta_B)."""
-
-    c0: float
-    c1a: float
-    c1b: float
-    same: float
-    different: float
-
-
 def _tanh2(squeezing):
     th = math.tanh(squeezing)
     return th * th
@@ -145,24 +132,6 @@ def _pieces(x, y, u, t):
 def _angle_factors(delta):
     """(sin^2 delta, cos^2 delta): all C_same / C_different see of the angles."""
     return math.sin(delta) ** 2, math.cos(delta) ** 2
-
-
-def c_terms(eta_a, eta_b, efficiency, squeezing, theta_a, theta_b) -> CTerms:
-    """Evaluate the five polynomials; broadcasts over eta arrays."""
-    x = efficiency * np.asarray(eta_a, dtype=float)
-    y = efficiency * np.asarray(eta_b, dtype=float)
-    u, t = _sech2(squeezing), _tanh2(squeezing)
-    _, _, g = _pieces(x, y, u, t)
-    u2g = u * u * g
-    c0 = u2g * g
-    c1a = -u2g * (t * y * (1.0 - x))
-    c1b = -u2g * (t * x * (1.0 - y))
-    common = u * u * t * x * y
-    p = t * (1.0 - x) * (1.0 - y)
-    same, different = (common * (p - f) for f in _angle_factors(theta_a - theta_b))
-    if np.ndim(eta_a) == 0 and np.ndim(eta_b) == 0:
-        return CTerms(float(c0), float(c1a), float(c1b), float(same), float(different))
-    return CTerms(c0, c1a, c1b, same, different)
 
 
 def _min_c0(settings: BellSettings):

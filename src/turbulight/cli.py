@@ -21,6 +21,10 @@ should fail loudly, not silently fall back to a default.  Scenarios:
 ``pdt-info``
     Transmittance-law summary (moments, support) as JSON.
 
+The optional top-level ``output`` key renames the artifact.  It must be a
+bare file name, written into the output directory, and cannot be
+``manifest.json``.
+
 Every run writes ``manifest.json`` into the output directory: the echoed
 inputs, the library version, the wall time, artifact names, and ingestion
 reports for any empirical transmittance files.  A relative empirical path
@@ -47,7 +51,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from . import __version__
 from .bell import BellSettings, BellSingularityError, bell_sweep
@@ -133,10 +137,15 @@ def _as_str(value, where):
     return value
 
 
-def _as_grid(value, where):
+def _as_grid(value, where, ok=None, rule=""):
+    """A nonempty list of finite numbers, each of which must pass ``ok``."""
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{where}: expected a nonempty list of numbers")
-    return [_as_real(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    grid = [_as_real(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    for i, v in enumerate(grid):
+        if ok is not None and not ok(v):
+            raise ConfigError(f"{where}[{i}]: {rule}")
+    return grid
 
 
 def _as_pair(value, where):
@@ -146,12 +155,23 @@ def _as_pair(value, where):
     return grid
 
 
+def _pick(node, where, key, names):
+    """The schema name ``node[key]``, which must be one of ``names``."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{where}: expected an object")
+    name = _as_str(node.get(key), f"{where}.{key}")
+    if name not in names:
+        raise ConfigError(
+            f"{where}.{key}: unknown {key} {name!r}; expected one of "
+            f"{', '.join(names)}"
+        )
+    return name
+
+
 def _lift(where, build, *args, **kwargs):
     """Run a library constructor, converting ValueError to ConfigError."""
     try:
         return build(*args, **kwargs)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -224,31 +244,24 @@ def ingest_pdt(path):
 # ---------------------------------------------------------------------------
 
 
+# family -> (constructor, required keys, optional keys); the required
+# values are passed in order, the optional ones by name.
+_FAMILIES = {
+    "dirac": (Dirac, ("eta",), ()),
+    "beta": (Beta, ("p", "q"), ("lo",)),
+    "lognormal": (TruncatedLogNormal, ("mu", "sigma"), ("lo",)),
+}
+
+# kind -> (constructor, keys of the one-mode laws it takes in order)
+_JOINTS = {
+    "product": (Product, ("a", "b")),
+    "correlated": (PerfectlyCorrelated, ("dist",)),
+    "adaptive": (AdaptiveCorrelated, ("a", "b")),
+}
+
+
 def _build_pdt(node, where, config_dir, reports):
-    _check_keys(node, where, ("family",), ("eta", "p", "q", "lo", "mu",
-                                           "sigma", "path", "factor", "inner"))
-    family = _as_str(node.get("family"), f"{where}.family")
-    if family == "dirac":
-        _check_keys(node, where, ("family", "eta"))
-        return _lift(where, Dirac, _as_real(node["eta"], f"{where}.eta"))
-    if family == "beta":
-        _check_keys(node, where, ("family", "p", "q"), ("lo",))
-        return _lift(
-            where,
-            Beta,
-            _as_real(node["p"], f"{where}.p"),
-            _as_real(node["q"], f"{where}.q"),
-            _as_real(node.get("lo", 0.0), f"{where}.lo"),
-        )
-    if family == "lognormal":
-        _check_keys(node, where, ("family", "mu", "sigma"), ("lo",))
-        return _lift(
-            where,
-            TruncatedLogNormal,
-            _as_real(node["mu"], f"{where}.mu"),
-            _as_real(node["sigma"], f"{where}.sigma"),
-            _as_real(node.get("lo", 0.0), f"{where}.lo"),
-        )
+    family = _pick(node, where, "family", (*_FAMILIES, "empirical", "scaled"))
     if family == "empirical":
         _check_keys(node, where, ("family", "path"))
         path = _as_str(node["path"], f"{where}.path")
@@ -262,35 +275,21 @@ def _build_pdt(node, where, config_dir, reports):
         return _lift(
             where, Scaled, inner, _as_real(node["factor"], f"{where}.factor")
         )
-    raise ConfigError(
-        f"{where}.family: unknown family {family!r}; expected one of "
-        "dirac, beta, lognormal, empirical, scaled"
-    )
+    build, required, optional = _FAMILIES[family]
+    _check_keys(node, where, ("family",) + required, optional)
+    args = [_as_real(node[key], f"{where}.{key}") for key in required]
+    kwargs = {
+        key: _as_real(node[key], f"{where}.{key}") for key in optional if key in node
+    }
+    return _lift(where, build, *args, **kwargs)
 
 
 def _build_joint(node, where, config_dir, reports):
-    _check_keys(node, where, ("kind",), ("a", "b", "dist"))
-    kind = _as_str(node.get("kind"), f"{where}.kind")
-    if kind == "product":
-        _check_keys(node, where, ("kind", "a", "b"))
-        return Product(
-            _build_pdt(node["a"], f"{where}.a", config_dir, reports),
-            _build_pdt(node["b"], f"{where}.b", config_dir, reports),
-        )
-    if kind == "correlated":
-        _check_keys(node, where, ("kind", "dist"))
-        return PerfectlyCorrelated(
-            _build_pdt(node["dist"], f"{where}.dist", config_dir, reports)
-        )
-    if kind == "adaptive":
-        _check_keys(node, where, ("kind", "a", "b"))
-        return AdaptiveCorrelated(
-            _build_pdt(node["a"], f"{where}.a", config_dir, reports),
-            _build_pdt(node["b"], f"{where}.b", config_dir, reports),
-        )
-    raise ConfigError(
-        f"{where}.kind: unknown kind {kind!r}; expected one of "
-        "product, correlated, adaptive"
+    kind = _pick(node, where, "kind", _JOINTS)
+    build, arms = _JOINTS[kind]
+    _check_keys(node, where, ("kind",) + arms)
+    return build(
+        *(_build_pdt(node[arm], f"{where}.{arm}", config_dir, reports) for arm in arms)
     )
 
 
@@ -307,7 +306,7 @@ def _build_detector(node, where):
 
 
 # ---------------------------------------------------------------------------
-# artifact writers
+# artifact writer
 # ---------------------------------------------------------------------------
 
 
@@ -319,26 +318,24 @@ def _flag(value):
     return "1" if value else "0"
 
 
-def _write_csv(path, header, rows):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+def _write(path, payload):
+    """Write ``(header, rows)`` as CSV, any other payload as sorted JSON."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_json(path, payload):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        if isinstance(payload, tuple):
+            header, rows = payload
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        else:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
-# scenarios
+# scenarios: each runner returns (header, rows) for a CSV or a JSON payload
 # ---------------------------------------------------------------------------
 
-_COMMON_OPTIONAL = ("output",)
+_THRESHOLD_RULE = (lambda v: 0.0 <= v < 1.0, "threshold must lie in [0, 1)")
 
 
 def _require_some_valid(points):
@@ -348,111 +345,68 @@ def _require_some_valid(points):
         )
 
 
-def _run_bell(cfg, out_path, config_dir, reports):
-    _check_keys(
-        cfg,
-        "config",
-        ("scenario", "channel", "detector", "sweep"),
-        _COMMON_OPTIONAL + ("squeezing", "angles_a", "angles_b"),
-    )
+def _run_bell(cfg, config_dir, reports):
     channel = _build_joint(cfg["channel"], "config.channel", config_dir, reports)
     detector = _build_detector(cfg["detector"], "config.detector")
     sweep = cfg["sweep"]
     _check_keys(sweep, "config.sweep", ("parameter", "grid"))
     parameter = _as_str(sweep["parameter"], "config.sweep.parameter")
-    grid = _as_grid(sweep["grid"], "config.sweep.grid")
-
-    extra = {}
-    for key in ("angles_a", "angles_b"):
-        if key in cfg:
-            extra[key] = tuple(_as_pair(cfg[key], f"config.{key}"))
-
     if parameter == "squeezing":
         if "squeezing" in cfg:
             raise ConfigError(
                 "config.squeezing: remove this key when sweeping squeezing; "
                 "the sweep grid supplies it"
             )
-        for i, value in enumerate(grid):
-            if value < 0.0:
-                raise ConfigError(
-                    f"config.sweep.grid[{i}]: squeezing must be >= 0"
-                )
-        settings = _lift(
-            "config", BellSettings, grid[0], detector, channel, **extra
-        )
-        points = bell_sweep(settings, squeezing_grid=grid)
+        grid = _as_grid(sweep["grid"], "config.sweep.grid",
+                        lambda v: v >= 0.0, "squeezing must be >= 0")
+        squeezing = grid[0]
     elif parameter == "preselection":
         if "squeezing" not in cfg:
             raise ConfigError(
                 "config.squeezing: required when sweeping preselection"
             )
-        for i, value in enumerate(grid):
-            if not 0.0 <= value < 1.0:
-                raise ConfigError(
-                    f"config.sweep.grid[{i}]: threshold must lie in [0, 1)"
-                )
-        settings = _lift(
-            "config",
-            BellSettings,
-            _as_real(cfg["squeezing"], "config.squeezing"),
-            detector,
-            channel,
-            **extra,
-        )
-        points = bell_sweep(settings, preselection_grid=grid)
-        _require_some_valid(points)
+        grid = _as_grid(sweep["grid"], "config.sweep.grid", *_THRESHOLD_RULE)
+        squeezing = _as_real(cfg["squeezing"], "config.squeezing")
     else:
         raise ConfigError(
             "config.sweep.parameter: expected 'squeezing' or 'preselection', "
             f"got {parameter!r}"
         )
+    angles = {
+        key: tuple(_as_pair(cfg[key], f"config.{key}"))
+        for key in ("angles_a", "angles_b")
+        if key in cfg
+    }
+    settings = _lift("config", BellSettings, squeezing, detector, channel, **angles)
+    points = bell_sweep(settings, **{f"{parameter}_grid": grid})
+    _require_some_valid(points)
     rows = [(_fmt(p.param), _fmt(p.value), _flag(p.valid)) for p in points]
-    _write_csv(out_path, ("param", "B", "valid"), rows)
+    return ("param", "B", "valid"), rows
 
 
-def _run_mandel(cfg, out_path, config_dir, reports):
-    _check_keys(
-        cfg,
-        "config",
-        ("scenario", "pdt", "q_in", "n_grid"),
-        _COMMON_OPTIONAL + ("detector",),
-    )
+def _run_mandel(cfg, config_dir, reports):
     dist = _build_pdt(cfg["pdt"], "config.pdt", config_dir, reports)
     detector = _build_detector(cfg.get("detector", {}), "config.detector")
     q_in = _as_real(cfg["q_in"], "config.q_in")
     if q_in < -1.0:
         raise ConfigError(f"config.q_in: must be >= -1, got {q_in!r}")
-    grid = _as_grid(cfg["n_grid"], "config.n_grid")
-    for i, n in enumerate(grid):
-        if n <= 0.0:
-            raise ConfigError(f"config.n_grid[{i}]: mean photon number must be > 0")
+    grid = _as_grid(cfg["n_grid"], "config.n_grid",
+                    lambda n: n > 0.0, "mean photon number must be > 0")
     rows = [
         (_fmt(n), _fmt(mandel_out(q_in, n, dist, detector)), _flag(True))
         for n in grid
     ]
-    _write_csv(out_path, ("param", "mandel_q", "valid"), rows)
+    return ("param", "mandel_q", "valid"), rows
 
 
-def _run_squeeze(cfg, out_path, config_dir, reports):
-    _check_keys(
-        cfg,
-        "config",
-        ("scenario", "pdt", "input_db", "thresholds"),
-        _COMMON_OPTIONAL + ("displacement", "angle", "phase"),
-    )
+def _run_squeeze(cfg, config_dir, reports):
     dist = _build_pdt(cfg["pdt"], "config.pdt", config_dir, reports)
     input_db = _as_real(cfg["input_db"], "config.input_db")
     displacement = _as_pair(cfg.get("displacement", [0.0, 0.0]),
                             "config.displacement")
     angle = _as_real(cfg.get("angle", 0.0), "config.angle")
     phase = _as_real(cfg.get("phase", 0.0), "config.phase")
-    thresholds = _as_grid(cfg["thresholds"], "config.thresholds")
-    for i, value in enumerate(thresholds):
-        if not 0.0 <= value < 1.0:
-            raise ConfigError(
-                f"config.thresholds[{i}]: threshold must lie in [0, 1)"
-            )
+    thresholds = _as_grid(cfg["thresholds"], "config.thresholds", *_THRESHOLD_RULE)
     state = _lift(
         "config.input_db",
         squeezed_vacuum_db,
@@ -465,22 +419,12 @@ def _run_squeeze(cfg, out_path, config_dir, reports):
     rows = [
         (_fmt(p.eta_ps), _fmt(p.squeezing_db), _flag(p.valid)) for p in points
     ]
-    _write_csv(out_path, ("eta_ps", "squeezing_db", "valid"), rows)
+    return ("eta_ps", "squeezing_db", "valid"), rows
 
 
-def _run_dgcz(cfg, out_path, config_dir, reports):
-    _check_keys(
-        cfg,
-        "config",
-        ("scenario", "xi_grid", "da_grid", "db_grid"),
-        _COMMON_OPTIONAL,
-    )
-    xi_grid = _as_grid(cfg["xi_grid"], "config.xi_grid")
-    for i, xi in enumerate(xi_grid):
-        if xi <= 0.0:
-            raise ConfigError(
-                f"config.xi_grid[{i}]: squeezing must be > 0 for the domain scan"
-            )
+def _run_dgcz(cfg, config_dir, reports):
+    xi_grid = _as_grid(cfg["xi_grid"], "config.xi_grid", lambda xi: xi > 0.0,
+                       "squeezing must be > 0 for the domain scan")
     da_grid = _as_grid(cfg["da_grid"], "config.da_grid")
     db_grid = _as_grid(cfg["db_grid"], "config.db_grid")
     rows = []
@@ -490,14 +434,13 @@ def _run_dgcz(cfg, out_path, config_dir, reports):
             for db in db_grid:
                 preserved = preservation_domain(state, da, db)
                 rows.append((_fmt(da), _fmt(db), _fmt(xi), _flag(preserved)))
-    _write_csv(out_path, ("da", "db", "xi", "preserved"), rows)
+    return ("da", "db", "xi", "preserved"), rows
 
 
-def _run_pdt_info(cfg, out_path, config_dir, reports):
-    _check_keys(cfg, "config", ("scenario", "pdt"), _COMMON_OPTIONAL)
+def _run_pdt_info(cfg, config_dir, reports):
     dist = _build_pdt(cfg["pdt"], "config.pdt", config_dir, reports)
     lo, hi = dist.support
-    payload = {
+    return {
         "moments": {
             "0.5": dist.moment(0.5),
             "1": dist.moment(1.0),
@@ -509,15 +452,19 @@ def _run_pdt_info(cfg, out_path, config_dir, reports):
         "t_variance": dist.t_variance(),
         "support": [lo, hi],
     }
-    _write_json(out_path, payload)
 
 
+# scenario -> (runner, default artifact name, required and optional top-level
+# keys besides "scenario" and "output")
 _SCENARIOS = {
-    "bell": (_run_bell, "bell.csv"),
-    "mandel": (_run_mandel, "mandel.csv"),
-    "squeeze": (_run_squeeze, "squeeze.csv"),
-    "dgcz": (_run_dgcz, "dgcz.csv"),
-    "pdt-info": (_run_pdt_info, "pdt_info.json"),
+    "bell": (_run_bell, "bell.csv", ("channel", "detector", "sweep"),
+             ("squeezing", "angles_a", "angles_b")),
+    "mandel": (_run_mandel, "mandel.csv", ("pdt", "q_in", "n_grid"),
+               ("detector",)),
+    "squeeze": (_run_squeeze, "squeeze.csv", ("pdt", "input_db", "thresholds"),
+                ("displacement", "angle", "phase")),
+    "dgcz": (_run_dgcz, "dgcz.csv", ("xi_grid", "da_grid", "db_grid"), ()),
+    "pdt-info": (_run_pdt_info, "pdt_info.json", ("pdt",), ()),
 }
 
 
@@ -547,38 +494,30 @@ def run(config, out_dir, config_dir="."):
     caller (the CLI entry point maps them to exit codes).
     """
     started = time.perf_counter()
-    if "scenario" not in config:
-        raise ConfigError("config: missing required keys ['scenario']")
-    scenario = _as_str(config["scenario"], "config.scenario")
-    if scenario not in _SCENARIOS:
-        raise ConfigError(
-            f"config.scenario: unknown scenario {scenario!r}; expected one of "
-            f"{sorted(_SCENARIOS)}"
-        )
-    runner, default_output = _SCENARIOS[scenario]
-
+    scenario = _pick(config, "config", "scenario", _SCENARIOS)
+    runner, default_output, required, optional = _SCENARIOS[scenario]
+    _check_keys(config, "config", ("scenario",) + required, ("output",) + optional)
     output = _as_str(config.get("output", default_output), "config.output")
+    if (output != os.path.basename(output) or "\0" in output
+            or output in (".", "..", "manifest.json")):
+        raise ConfigError(
+            "config.output: must be a bare file name other than manifest.json, "
+            f"got {output!r}"
+        )
 
     reports = []
-    out_path = os.path.join(out_dir, output)
-    runner(config, out_path, config_dir, reports)
+    result = runner(config, config_dir, reports)
+    os.makedirs(out_dir or ".", exist_ok=True)
+    _write(os.path.join(out_dir, output), result)
 
     manifest = {
         "version": __version__,
         "inputs": dict(config),
         "artifacts": [output],
-        "ingestion": [
-            {
-                "path": r.path,
-                "bins": r.bins,
-                "total_weight": r.total_weight,
-                "renormalization": r.renormalization,
-            }
-            for r in reports
-        ],
+        "ingestion": [asdict(r) for r in reports],
         "wall_time_s": time.perf_counter() - started,
     }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    _write(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
 
 

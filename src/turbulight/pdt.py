@@ -602,9 +602,10 @@ class Scaled(TransmittanceDistribution):
     def __post_init__(self):
         _check_unit_interval("scale factor", self.factor, open_left=True)
         if isinstance(self.inner, Scaled):
-            # Collapse nested pre-factors.
+            # Collapse nested pre-factors; their product can underflow to 0.
             object.__setattr__(self, "factor", self.factor * self.inner.factor)
             object.__setattr__(self, "inner", self.inner.inner)
+            _check_unit_interval("scale factor", self.factor, open_left=True)
 
     def moment(self, k):
         if k == 0:
@@ -626,12 +627,6 @@ class Scaled(TransmittanceDistribution):
         if threshold >= self.factor:
             raise EmptySelectionError(threshold, 0.0)
         return Scaled(self.inner.truncate(threshold / self.factor), self.factor)
-
-    def scale(self, factor):
-        _check_unit_interval("scale factor", factor, open_left=True)
-        if factor == 1.0:
-            return self
-        return Scaled(self.inner, self.factor * factor)
 
     @property
     def atoms(self):

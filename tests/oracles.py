@@ -10,6 +10,7 @@ tautology.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import mpmath as mp
 import numpy as np
@@ -83,6 +84,8 @@ def squeezed_vacuum_fock_moments(squeezing, angle=0.0, n_terms=None):
 # Bell click probabilities: scalar high-precision + vectorized pointwise
 # ---------------------------------------------------------------------------
 
+CTerms = namedtuple("CTerms", "c0 c1a c1b same different")
+
 
 def mp_c_terms(eta_a, eta_b, eta_c, squeezing, theta_a, theta_b, dps=60):
     """C polynomials at one transmittance realization, mpmath scalars.
@@ -108,6 +111,34 @@ def mp_c_terms(eta_a, eta_b, eta_c, squeezing, theta_a, theta_b, dps=60):
             (1 - x) * (1 - y) * t - mp.cos(theta_a - theta_b) ** 2
         )
         return c0, c1a, c1b, c_same, c_diff
+
+
+def c_terms(eta_a, eta_b, efficiency, squeezing, theta_a, theta_b):
+    """The five C polynomials in float arithmetic; broadcasts over eta arrays.
+
+    The expanded polynomials of :func:`mp_c_terms`, but with 1 - t formed
+    as sech^2(squeezing), so they keep their digits as t -> 1.  Returns
+    (c0, c1a, c1b, same, different) as attributes.
+    """
+    x = efficiency * np.asarray(eta_a, dtype=float)
+    y = efficiency * np.asarray(eta_b, dtype=float)
+    th = math.tanh(squeezing)
+    t = th * th
+    e = math.exp(-squeezing)
+    sech = 2.0 * e / (1.0 + e * e)
+    u = sech * sech
+    g = u + t * x + t * y * (1.0 - x)
+    u2g = u * u * g
+    common = u * u * t * x * y
+    p = t * (1.0 - x) * (1.0 - y)
+    delta = theta_a - theta_b
+    return CTerms(
+        c0=u2g * g,
+        c1a=-u2g * (t * y * (1.0 - x)),
+        c1b=-u2g * (t * x * (1.0 - y)),
+        same=common * (p - math.sin(delta) ** 2),
+        different=common * (p - math.cos(delta) ** 2),
+    )
 
 
 def mp_reciprocal_averages(eta_a, eta_b, eta_c, squeezing, angle_pairs, dps=60):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    c_terms,
     mc_bell_parameter,
     mp_c_terms,
     mp_click_probabilities,
@@ -20,7 +21,6 @@ from turbulight.bell import (
     BellSingularityError,
     bell_parameter,
     bell_sweep,
-    c_terms,
     click_probabilities,
     correlation,
     _click_pair,

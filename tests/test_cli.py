@@ -7,11 +7,20 @@ import pathlib
 import pytest
 
 from turbulight.bell import BellSettings, bell_parameter
-from turbulight.cli import ConfigError, ingest_pdt, main, run
+from turbulight.cli import ConfigError, _build_joint, ingest_pdt, main, run
 from turbulight.entangle import preservation_domain
-from turbulight.pdt import Dirac, Product
+from turbulight.homodyne import postselect_sweep
+from turbulight.pdt import (
+    AdaptiveCorrelated,
+    Beta,
+    Dirac,
+    PerfectlyCorrelated,
+    Product,
+    Scaled,
+    TruncatedLogNormal,
+)
 from turbulight.photocount import DetectorModel
-from turbulight.states import tmsv
+from turbulight.states import squeezed_vacuum_db, tmsv
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -438,6 +447,28 @@ def test_number_beyond_float_range_is_a_config_error(tmp_path, capsys, patch, ke
     assert payload["message"].startswith(f"{key}: ")
 
 
+@pytest.mark.parametrize(
+    "output", ["manifest.json", "../escaped.json", "sub/pdt.json", "{tmp}/escaped.json", "..",
+               "nul\0.json"]
+)
+def test_output_must_be_a_bare_file_name_other_than_the_manifest(
+        tmp_path, capsys, output):
+    cfg = {"scenario": "pdt-info", "pdt": {"family": "dirac", "eta": 0.4},
+           "output": output.format(tmp=tmp_path)}
+    out = tmp_path / "out"
+    assert _config_message(tmp_path, capsys, cfg).startswith("config.output: ")
+    assert not (tmp_path / "escaped.json").exists()
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_nested_scale_factors_that_underflow_are_rejected(tmp_path, capsys):
+    inner = {"family": "scaled", "factor": 1e-200,
+             "inner": {"family": "beta", "p": 2.0, "q": 2.0}}
+    cfg = {"scenario": "pdt-info",
+           "pdt": {"family": "scaled", "factor": 1e-200, "inner": inner}}
+    assert _config_message(tmp_path, capsys, cfg).startswith("config.pdt: ")
+
+
 def test_dgcz_requires_positive_squeezing(tmp_path, capsys):
     cfg = {"scenario": "dgcz", "xi_grid": [0.0], "da_grid": [0.0],
            "db_grid": [0.0]}
@@ -480,3 +511,115 @@ def test_bell_preselection_all_empty_exits_four(tmp_path, capsys):
     cfg_path = _write_config(tmp_path, cfg)
     assert main(["--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 4
     assert _stderr_category(capsys) == "empty-selection"
+
+
+# ---------------------------------------------------------------------------
+# schema tables: messages, law families, joint kinds, optional keys
+# ---------------------------------------------------------------------------
+
+
+def _config_message(tmp_path, capsys, cfg):
+    cfg_path = _write_config(tmp_path, cfg)
+    assert main(["--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["category"] == "config"
+    return payload["message"]
+
+
+_MANDEL = {"scenario": "mandel", "pdt": {"family": "dirac", "eta": 0.5},
+           "q_in": -0.5, "n_grid": [1.0]}
+_SQUEEZE = {"scenario": "squeeze", "pdt": {"family": "beta", "p": 2.0, "q": 2.0},
+            "input_db": -2.4, "thresholds": [0.1]}
+_DGCZ = {"scenario": "dgcz", "xi_grid": [0.6], "da_grid": [0.0], "db_grid": [0.0]}
+
+
+@pytest.mark.parametrize(
+    "cfg, prefix",
+    [
+        (_bell_config(sweep={"parameter": "squeezing", "grid": [0.1, -0.2]}),
+         "config.sweep.grid[1]: squeezing must be >= 0"),
+        (_bell_config(squeezing=0.3,
+                      sweep={"parameter": "preselection", "grid": [0.1, 1.0]}),
+         "config.sweep.grid[1]: threshold must lie in [0, 1)"),
+        ({**_MANDEL, "n_grid": [0.0]},
+         "config.n_grid[0]: mean photon number must be > 0"),
+        ({**_SQUEEZE, "thresholds": [-0.1]},
+         "config.thresholds[0]: threshold must lie in [0, 1)"),
+        ({**_DGCZ, "xi_grid": [0.0]},
+         "config.xi_grid[0]: squeezing must be > 0"),
+        ({**_MANDEL, "pdt": {"family": "gamma"}},
+         "config.pdt.family: unknown family 'gamma'"),
+        (_bell_config(channel={"kind": "entwined", "dist": {"family": "dirac", "eta": 1.0}}),
+         "config.channel.kind: unknown kind 'entwined'"),
+        ({**_DGCZ, "typo_key": 1}, "config: unknown keys ['typo_key']"),
+    ],
+    ids=["bell-squeezing", "bell-preselection", "mandel", "squeeze", "dgcz",
+         "family", "kind", "root-key"],
+)
+def test_config_error_names_the_offending_entry(tmp_path, capsys, cfg, prefix):
+    assert _config_message(tmp_path, capsys, cfg).startswith(prefix)
+
+
+_LAWS = [
+    ({"family": "dirac", "eta": 0.7}, Dirac(0.7)),
+    ({"family": "beta", "p": 2.0, "q": 3.0}, Beta(2.0, 3.0)),
+    ({"family": "beta", "p": 2.0, "q": 3.0, "lo": 0.2}, Beta(2.0, 3.0, 0.2)),
+    ({"family": "lognormal", "mu": -0.5, "sigma": 0.4},
+     TruncatedLogNormal(-0.5, 0.4)),
+    ({"family": "lognormal", "mu": -0.5, "sigma": 0.4, "lo": 0.3},
+     TruncatedLogNormal(-0.5, 0.4, 0.3)),
+    ({"family": "scaled", "factor": 0.5, "inner": {"family": "dirac", "eta": 0.8}},
+     Scaled(Dirac(0.8), 0.5)),
+]
+
+
+@pytest.mark.parametrize("node, law", _LAWS,
+                         ids=["dirac", "beta", "beta-lo", "lognormal",
+                              "lognormal-lo", "scaled"])
+def test_pdt_info_reports_the_law_the_config_names(tmp_path, node, law):
+    out = tmp_path / "out"
+    cfg = {"scenario": "pdt-info", "pdt": node}
+    assert main(["--config", _write_config(tmp_path, cfg), "--out-dir", str(out)]) == 0
+    payload = json.loads((out / "pdt_info.json").read_text())
+    assert payload["moments"] == {"0.5": law.moment(0.5), "1": law.moment(1.0),
+                                  "2": law.moment(2.0)}
+    assert payload["mean"] == law.mean()
+    assert payload["variance"] == law.variance()
+    assert payload["t_variance"] == law.t_variance()
+    assert payload["support"] == list(law.support)
+
+
+@pytest.mark.parametrize(
+    "node, joint",
+    [
+        ({"kind": "product", "a": _LAWS[2][0], "b": _LAWS[4][0]},
+         Product(_LAWS[2][1], _LAWS[4][1])),
+        ({"kind": "correlated", "dist": _LAWS[1][0]},
+         PerfectlyCorrelated(_LAWS[1][1])),
+        ({"kind": "adaptive", "a": _LAWS[3][0], "b": _LAWS[0][0]},
+         AdaptiveCorrelated(_LAWS[3][1], _LAWS[0][1])),
+    ],
+    ids=["product", "correlated", "adaptive"],
+)
+def test_bell_run_on_each_joint_kind_matches_library(tmp_path, node, joint):
+    angles = {"angles_a": [0.1, 0.9], "angles_b": [0.3, 1.2]}
+    cfg = _bell_config(channel=node, sweep={"parameter": "squeezing", "grid": [0.3]},
+                       **angles)
+    assert _build_joint(node, "channel", str(tmp_path), []) == joint
+    out = tmp_path / "out"
+    assert main(["--config", _write_config(tmp_path, cfg), "--out-dir", str(out)]) == 0
+    _, values = _bell_column(out / "bell.csv")
+    det = DetectorModel(efficiency=0.95, noise_counts=0.001)
+    direct = bell_parameter(BellSettings(0.3, det, joint, (0.1, 0.9), (0.3, 1.2)))
+    assert values == [direct]
+
+
+def test_squeeze_run_with_displacement_angle_and_phase_matches_library(tmp_path):
+    cfg = {**_SQUEEZE, "displacement": [0.4, -0.2], "angle": 0.3, "phase": 0.5,
+           "thresholds": [0.1, 0.5]}
+    out = tmp_path / "out"
+    assert main(["--config", _write_config(tmp_path, cfg), "--out-dir", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "squeeze.csv").read_text().splitlines()[1:]]
+    state = squeezed_vacuum_db(-2.4, angle=0.3, mean=complex(0.4, -0.2))
+    points = postselect_sweep(state, Beta(2.0, 2.0), [0.1, 0.5], phase=0.5)
+    assert [float(db) for _, db, _ in rows] == [p.squeezing_db for p in points]

@@ -546,6 +546,20 @@ def test_scaled_collapses_nesting():
     assert s.mean() == pytest.approx(0.2, rel=1e-15)
 
 
+def test_scaled_rejects_nested_factors_that_underflow():
+    # Each factor lies in (0, 1], but their product is 0.0.
+    with pytest.raises(ValueError, match="scale factor"):
+        Scaled(Scaled(Beta(2.0, 2.0), 1e-200), 1e-200)
+    with pytest.raises(ValueError, match="scale factor"):
+        Beta(2.0, 2.0).scale(1e-200).scale(1e-200)
+
+
+def test_scaled_scale_multiplies_the_factor():
+    s = Scaled(Beta(2.0, 2.0), 0.3).scale(0.7)
+    assert s == Scaled(Beta(2.0, 2.0), 0.7 * 0.3)
+    assert s.scale(1.0) is s
+
+
 def test_scaled_survival_keeps_boundary_atom():
     s = Scaled(Dirac(1.0), 0.4)
     assert s.survival(0.4, include_equal=True) == 1.0
