@@ -132,8 +132,11 @@ def _as_real(value, where):
 
 
 def _as_str(value, where):
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"{where}: expected a nonempty string, got {value!r}")
+    # A NUL byte can name no file, and open() would raise ValueError on it.
+    if not isinstance(value, str) or not value or "\0" in value:
+        raise ConfigError(
+            f"{where}: expected a nonempty string without NUL bytes, got {value!r}"
+        )
     return value
 
 
@@ -498,8 +501,7 @@ def run(config, out_dir, config_dir="."):
     runner, default_output, required, optional = _SCENARIOS[scenario]
     _check_keys(config, "config", ("scenario",) + required, ("output",) + optional)
     output = _as_str(config.get("output", default_output), "config.output")
-    if (output != os.path.basename(output) or "\0" in output
-            or output in (".", "..", "manifest.json")):
+    if output != os.path.basename(output) or output in (".", "..", "manifest.json"):
         raise ConfigError(
             "config.output: must be a bare file name other than manifest.json, "
             f"got {output!r}"

@@ -75,6 +75,29 @@ __all__ = [
 ]
 
 
+class special_on_first_use:
+    """Stands in for ``scipy.special`` in one module's globals until first use.
+
+    A module binds it as ``special = special_on_first_use(globals())``.
+    Importing scipy.special takes ~0.1 s, more than a whole CLI run that
+    calls no special function, so it is imported on the first attribute
+    read.  That read also rebinds the module's global ``special`` to the
+    real module, so every later ``special.f`` there is a plain module
+    attribute read, as after an eager import: no per-call cost.
+    """
+
+    __slots__ = ("_module_globals",)
+
+    def __init__(self, module_globals):
+        self._module_globals = module_globals
+
+    def __getattr__(self, name):
+        from scipy import special
+
+        self._module_globals["special"] = special
+        return getattr(special, name)
+
+
 # Nodes and weights of the (7, 15) Gauss-Kronrod pair on [-1, 1], QUADPACK
 # values.  Positive half; the full rule is symmetric about zero.
 _XGK_HALF = (

@@ -46,9 +46,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from .numerics import DEFAULT_QUADRATURE, integrate, integrate2
+from .numerics import DEFAULT_QUADRATURE, integrate, integrate2, special_on_first_use
+
+special = special_on_first_use(globals())
 
 __all__ = [
     "EmptySelectionError",
@@ -71,7 +72,8 @@ _BLOCK_ELEMENTS = 1 << 16
 # Above this z-score the normal CDF is within 1e-3 of 1, so a difference
 # Phi(b) - Phi(a) of two such CDFs has lost three digits or more; the
 # log-normal law then takes it as Phi(-a) - Phi(-b), which keeps them.
-_UPPER_TAIL_Z = float(-special.ndtri(1e-3))
+# The literal is float(-special.ndtri(1e-3)) bit for bit.
+_UPPER_TAIL_Z = 3.090232306167813
 # Below this width dz both forms cancel too: Phi(z) - Phi(z - dz) is then
 # the integral of the normal density over [z - dz, z], which a fixed
 # Gauss-Legendre rule takes to rounding (phi is entire, the interval short).
@@ -118,11 +120,39 @@ def _frozen(a):
     return a
 
 
+def _between(value, lo, hi, *, open_left=False, open_right=False):
+    """lo <= value <= hi, strict at an open end; False for NaN and for what
+    is no real number (a string, None, a complex), which cannot compare."""
+    try:
+        lo_ok = value > lo if open_left else value >= lo
+        return lo_ok and (value < hi if open_right else value <= hi)
+    except TypeError:
+        return False
+
+
 def _check_unit_interval(name, value, *, open_left=False, open_right=False):
-    lo_ok = value > 0.0 if open_left else value >= 0.0
-    hi_ok = value < 1.0 if open_right else value <= 1.0
-    if not (np.isfinite(value) and lo_ok and hi_ok):
+    if not _between(value, 0.0, 1.0, open_left=open_left, open_right=open_right):
         raise ValueError(f"{name} must lie in the unit interval, got {value!r}")
+
+
+def _check_finite(name, value, *, positive=False):
+    lo, rule = (0.0, "positive and finite") if positive else (-math.inf, "finite")
+    if not _between(value, lo, math.inf, open_left=True, open_right=True):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def _as_bins(name, values):
+    """``values`` as a 1D float64 array; a ValueError naming ``name`` if they
+    are no sequence of real numbers."""
+    try:
+        bins = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        bins = None
+    if bins is None or bins.ndim != 1:
+        raise ValueError(
+            f"{name} must be a sequence of real numbers, got {type(values).__name__}"
+        )
+    return bins
 
 
 class TransmittanceDistribution:
@@ -284,13 +314,13 @@ class Empirical(TransmittanceDistribution):
     weights: tuple
 
     def __post_init__(self):
-        if len(self.etas) != len(self.weights) or len(self.etas) == 0:
+        etas = _as_bins("Empirical etas", self.etas)
+        weights = _as_bins("Empirical weights", self.weights)
+        if len(etas) != len(weights) or len(etas) == 0:
             raise ValueError("need matching, nonempty eta and weight sequences")
-        weights = np.asarray(self.weights, dtype=float)
         total = math.fsum(weights.tolist())
         if not np.isfinite(total) or total <= 0.0:
             raise ValueError("bin weights must sum to a positive finite value")
-        etas = np.asarray(self.etas, dtype=float)
         bad_eta = ~((etas >= 0.0) & (etas <= 1.0))
         bad = bad_eta | ~(np.isfinite(weights) & (weights >= 0.0))
         if bad.any():
@@ -365,8 +395,8 @@ class Beta(TransmittanceDistribution):
     lo: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.p) and np.isfinite(self.q) and self.p > 0.0 and self.q > 0.0):
-            raise ValueError("Beta shape parameters must be positive and finite")
+        _check_finite("Beta p", self.p, positive=True)
+        _check_finite("Beta q", self.q, positive=True)
         _check_unit_interval("lower truncation point", self.lo, open_right=True)
 
     def _upper(self, p, x):
@@ -487,8 +517,8 @@ class TruncatedLogNormal(TransmittanceDistribution):
     lo: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.mu) and np.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError("need finite mu and positive, finite sigma")
+        _check_finite("log-normal mu", self.mu)
+        _check_finite("log-normal sigma", self.sigma, positive=True)
         _check_unit_interval("lower truncation point", self.lo, open_right=True)
 
     def _z(self, eta):

@@ -44,10 +44,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from .numerics import QuadratureSpec
-from .pdt import TransmittanceDistribution
+from .numerics import QuadratureSpec, special_on_first_use
+from .pdt import TransmittanceDistribution, _between
+
+special = special_on_first_use(globals())
 
 __all__ = [
     "DetectorModel",
@@ -86,10 +87,12 @@ class DetectorModel:
     noise_counts: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.efficiency <= 1.0):
-            raise ValueError("detector efficiency must lie in (0, 1]")
-        if not (np.isfinite(self.noise_counts) and self.noise_counts >= 0.0):
-            raise ValueError("mean noise counts must be nonnegative")
+        if not _between(self.efficiency, 0.0, 1.0, open_left=True):
+            raise ValueError(f"detector efficiency must lie in (0, 1], got {self.efficiency!r}")
+        if not _between(self.noise_counts, 0.0, math.inf, open_right=True):
+            raise ValueError(
+                f"mean noise counts must be nonnegative and finite, got {self.noise_counts!r}"
+            )
 
 
 class PhotonNumberDist:

@@ -552,9 +552,11 @@ _DGCZ = {"scenario": "dgcz", "xi_grid": [0.6], "da_grid": [0.0], "db_grid": [0.0
         (_bell_config(channel={"kind": "entwined", "dist": {"family": "dirac", "eta": 1.0}}),
          "config.channel.kind: unknown kind 'entwined'"),
         ({**_DGCZ, "typo_key": 1}, "config: unknown keys ['typo_key']"),
+        ({**_MANDEL, "pdt": {"family": "empirical", "path": "a\0b.csv"}},
+         "config.pdt.path: "),
     ],
     ids=["bell-squeezing", "bell-preselection", "mandel", "squeeze", "dgcz",
-         "family", "kind", "root-key"],
+         "family", "kind", "root-key", "nul-in-path"],
 )
 def test_config_error_names_the_offending_entry(tmp_path, capsys, cfg, prefix):
     assert _config_message(tmp_path, capsys, cfg).startswith(prefix)

@@ -111,6 +111,28 @@ def test_non_finite_law_parameters_are_rejected(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: Empirical(0.3, 1.0), "Empirical etas"),
+        (lambda: Empirical((0.3,), None), "Empirical weights"),
+        (lambda: Dirac("x"), "Dirac value"),
+        (lambda: Beta(None, 2.0), "Beta p"),
+        (lambda: Beta(2.0, 1j), "Beta q"),
+        (lambda: Beta(2.0, 2.0, "x"), "lower truncation point"),
+        (lambda: TruncatedLogNormal("a", 1.0), "log-normal mu"),
+        (lambda: TruncatedLogNormal(-1.0, [0.5]), "log-normal sigma"),
+        (lambda: Scaled(Dirac(0.5), None), "scale factor"),
+    ],
+    ids=["empirical-etas", "empirical-weights", "dirac", "beta-p", "beta-q",
+         "beta-lo", "lognormal-mu", "lognormal-sigma", "scaled"],
+)
+def test_wrongly_typed_law_parameters_raise_value_error_naming_them(make, name):
+    # Not a TypeError from deep inside a comparison or len().
+    with pytest.raises(ValueError, match=f"^{name} "):
+        make()
+
+
 def test_beta_thin_upper_tail_against_mpmath():
     # Little mass above lo: 1 - I_lo(p, q) lost 8 digits of it here.
     dist = Beta(0.2, 8.0, lo=0.9)
@@ -300,6 +322,11 @@ def test_lognormal_upper_tail_survival_is_not_zero():
     expected = float(mp_lognormal_mass(-5.0, 0.3, 0.1, 1.0) / mass)
     assert expected == pytest.approx(1.03e-8, rel=0.01)
     assert value == pytest.approx(expected, rel=1e-11)
+
+
+def test_upper_tail_z_literal_is_the_normal_quantile_bit_for_bit():
+    # pdt writes the literal so that importing it needs no scipy.special.
+    assert pdt._UPPER_TAIL_Z == float(-special.ndtri(1e-3))
 
 
 @pytest.mark.parametrize("mu,sigma,lo", TAIL_LAWS)

@@ -122,6 +122,10 @@ def test_detector_model_validation():
         DetectorModel(efficiency=1.2)
     with pytest.raises(ValueError):
         DetectorModel(noise_counts=-0.1)
+    with pytest.raises(ValueError, match="^detector efficiency "):
+        DetectorModel(efficiency="x")
+    with pytest.raises(ValueError, match="^mean noise counts "):
+        DetectorModel(noise_counts=None)
 
 
 def test_count_vector_validation():
