@@ -55,6 +55,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .numerics import _between
 from .pdt import EmptySelectionError, JointTransmittanceDistribution
 from .photocount import DetectorModel
 
@@ -91,8 +92,10 @@ class BellSettings:
     angles_b: tuple = DEFAULT_ANGLES_B
 
     def __post_init__(self):
-        if not (np.isfinite(self.squeezing) and self.squeezing >= 0.0):
-            raise ValueError("squeeze parameter must be finite and nonnegative")
+        if not _between(self.squeezing, 0.0, math.inf, open_right=True):
+            raise ValueError(
+                f"squeeze parameter must be finite and nonnegative, got {self.squeezing!r}"
+            )
         for name in ("angles_a", "angles_b"):
             try:
                 pair = tuple(getattr(self, name))

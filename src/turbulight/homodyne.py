@@ -32,9 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import arm_statistics
+from .numerics import _between
 from .pdt import EmptySelectionError, TransmittanceDistribution
 from .states import SingleModeGaussian, variance_to_db
 
@@ -56,12 +55,19 @@ class HomodyneModel:
     min_transmittance: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.lo_amplitude) and self.lo_amplitude > 0.0):
-            raise ValueError("local-oscillator amplitude must be positive")
-        if not (np.isfinite(self.noise_counts) and self.noise_counts >= 0.0):
-            raise ValueError("mean noise counts must be nonnegative")
-        if not (0.0 < self.min_transmittance <= 1.0):
-            raise ValueError("minimum transmittance must lie in (0, 1]")
+        amplitude = self.lo_amplitude
+        if not _between(amplitude, 0.0, math.inf, open_left=True, open_right=True):
+            raise ValueError(
+                f"local-oscillator amplitude must be positive and finite, got {amplitude!r}"
+            )
+        if not _between(self.noise_counts, 0.0, math.inf, open_right=True):
+            raise ValueError(
+                f"mean noise counts must be nonnegative and finite, got {self.noise_counts!r}"
+            )
+        if not _between(self.min_transmittance, 0.0, 1.0, open_left=True):
+            raise ValueError(
+                f"minimum transmittance must lie in (0, 1], got {self.min_transmittance!r}"
+            )
 
 
 def squeeze_out(state: SingleModeGaussian, dist: TransmittanceDistribution, phase=0.0):

@@ -62,6 +62,7 @@ one law-level average that takes a spec.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,16 @@ class special_on_first_use:
 
         self._module_globals["special"] = special
         return getattr(special, name)
+
+
+def _between(value, lo, hi, *, open_left=False, open_right=False):
+    """lo <= value <= hi, strict at an open end; False for NaN and for what
+    is no real number (a string, None, a complex), which cannot compare."""
+    try:
+        lo_ok = value > lo if open_left else value >= lo
+        return lo_ok and (value < hi if open_right else value <= hi)
+    except TypeError:
+        return False
 
 
 # Nodes and weights of the (7, 15) Gauss-Kronrod pair on [-1, 1], QUADPACK
@@ -173,7 +184,8 @@ class QuadratureSpec:
     default of 60 is for raw :func:`integrate` callers whose integrand is
     singular at an endpoint, which refine for about fifty levels.  No
     law's ``chart`` hands the integrator such an integrand, and smooth
-    ones never get near the budget.
+    ones never get near the budget.  Both tolerances must be positive and
+    finite, and max_depth an integer (not a bool) of at least 1.
     """
 
     rel_tol: float = 1e-9
@@ -181,10 +193,13 @@ class QuadratureSpec:
     max_depth: int = 60
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
+        for name in ("rel_tol", "abs_tol"):
+            value = getattr(self, name)
+            if not _between(value, 0.0, math.inf, open_left=True, open_right=True):
+                raise ValueError(f"quadrature {name} must be positive and finite, got {value!r}")
+        depth = self.max_depth
+        if isinstance(depth, bool) or not isinstance(depth, numbers.Integral) or depth < 1:
+            raise ValueError(f"max_depth must be an integer of at least 1, got {depth!r}")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()

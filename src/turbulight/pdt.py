@@ -30,8 +30,10 @@ momentary channel, so both modes see min(T_a, T_b)).
 Moments use closed forms of the underlying families (incomplete beta /
 normal integrals); other averages are exact sums for atomic laws, else the
 quadrature of :mod:`turbulight.numerics` over the law's ``chart``, in 1D
-and 2D alike.  A Beta chart takes each end of the support in its own
-variable, so a singular density reaches the quadrature smooth.
+and 2D alike; each continuous law writes its own chart.  A Beta chart
+takes each end of the support in its own variable, so a singular density
+reaches the quadrature smooth.  A log-normal chart integrates in eta on
+[lo, 1], started from points exp(mu + z sigma) that bracket the peak.
 
 Every quadrature average runs at ``numerics.DEFAULT_QUADRATURE``.
 :meth:`TransmittanceDistribution.expectation` is the one law-level
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DEFAULT_QUADRATURE, integrate, integrate2, special_on_first_use
+from .numerics import DEFAULT_QUADRATURE, _between, integrate, integrate2, special_on_first_use
 
 special = special_on_first_use(globals())
 
@@ -82,7 +84,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 _GL_NODES, _GL_WEIGHTS = 0.5 * (1.0 + _GL_NODES), 0.5 * _GL_WEIGHTS
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _TINY = np.finfo(float).tiny
-# z-scores of the log-normal quadrature edges exp(mu + z sigma): the median,
+# z-scores of the log-normal chart's points exp(mu + z sigma): the median,
 # the flanks of the peak and its far tails.
 _LOG_NORMAL_EDGE_Z = (-8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0)
 
@@ -120,16 +122,6 @@ def _frozen(a):
     return a
 
 
-def _between(value, lo, hi, *, open_left=False, open_right=False):
-    """lo <= value <= hi, strict at an open end; False for NaN and for what
-    is no real number (a string, None, a complex), which cannot compare."""
-    try:
-        lo_ok = value > lo if open_left else value >= lo
-        return lo_ok and (value < hi if open_right else value <= hi)
-    except TypeError:
-        return False
-
-
 def _check_unit_interval(name, value, *, open_left=False, open_right=False):
     if not _between(value, 0.0, 1.0, open_left=open_left, open_right=open_right):
         raise ValueError(f"{name} must lie in the unit interval, got {value!r}")
@@ -160,8 +152,8 @@ class TransmittanceDistribution:
 
     Concrete subclasses implement ``moment``, ``survival``, ``truncate``,
     ``support`` and either ``atoms`` (atomic laws: a pair of read-only
-    arrays ``(etas, weights)``) or ``chart`` (continuous laws; the default
-    chart needs ``density`` and may use ``edges``).
+    arrays ``(etas, weights)``) or ``chart`` (continuous laws: limits,
+    breakpoints and a map to (eta, weight)); no law gives a density.
     ``expectation`` sums over the atoms or integrates the chart.
     ``scale`` wraps the law in :class:`Scaled` unless a subclass has a
     closed form for it.
@@ -172,10 +164,6 @@ class TransmittanceDistribution:
 
     def moment(self, k):
         """<eta**k> for real k >= 0 (k = 0 gives exactly 1)."""
-        raise NotImplementedError
-
-    def density(self, eta):
-        """Normalized density at eta (vectorized). Atomic laws raise."""
         raise NotImplementedError
 
     def survival(self, eta, include_equal=False):
@@ -204,21 +192,14 @@ class TransmittanceDistribution:
         """(inf, sup) of the support."""
         raise NotImplementedError
 
-    @property
-    def edges(self):
-        """Breakpoints of the default chart, so a peak far narrower than the
-        support is not missed; points outside the support are ignored."""
-        return ()
-
     def chart(self):
         """(a, b, points, g): <f> is the integral of f(eta(s)) w(s) over [a, b].
 
         g maps an array of s to (eta(s), w(s)); ``points`` are breakpoints
         of [a, b].  Every quadrature average, 1D or 2D, integrates a chart.
-        The default is eta = s on the support, w the density, and ``edges``.
+        Continuous laws implement it; atomic laws give ``atoms`` instead.
         """
-        lo, hi = self.support
-        return lo, hi, self.edges, lambda s: (s, self.density(s))
+        raise NotImplementedError
 
     # ---- shared helpers ------------------------------------------------
 
@@ -429,23 +410,6 @@ class Beta(TransmittanceDistribution):
             upper = float(self._upper(self.p + k, self.lo))
         return ratio * upper / self._mass()
 
-    def density(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        inside = (eta >= self.lo) & (eta > 0.0) & (eta < 1.0)
-        log_norm = special.betaln(self.p, self.q) + math.log(self._mass())
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logd = (
-                (self.p - 1.0) * np.log(eta)
-                + (self.q - 1.0) * np.log1p(-eta)
-                - log_norm
-            )
-            out = np.where(inside, np.exp(logd), 0.0)
-        # eta exactly 0 or 1 sits on the support edge; the open quadrature
-        # rule never asks for it, return the limit for completeness.
-        out = np.where((eta == 0.0) & (self.lo == 0.0) & (self.p > 1.0), 0.0, out)
-        out = np.where((eta == 1.0) & (self.q > 1.0), 0.0, out)
-        return out if out.ndim else float(out)
-
     def chart(self):
         """Each end of the support in its own variable.
 
@@ -521,9 +485,6 @@ class TruncatedLogNormal(TransmittanceDistribution):
         _check_finite("log-normal sigma", self.sigma, positive=True)
         _check_unit_interval("lower truncation point", self.lo, open_right=True)
 
-    def _z(self, eta):
-        return (np.log(eta) - self.mu) / self.sigma
-
     def _log_mass(self, shift=0.0):
         """log[Phi(z_hi) - Phi(z_lo)] at z_hi = -mu/s - shift and
         z_lo = (ln lo - mu)/s - shift; -inf if empty.
@@ -570,18 +531,6 @@ class TruncatedLogNormal(TransmittanceDistribution):
             + self._log_mass(k * self.sigma) - math.log(self._mass())
         )
 
-    def density(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        inside = (eta > self.lo) & (eta <= 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = self._z(np.where(inside, eta, 0.5))
-            d = np.exp(-0.5 * z * z) / (
-                np.where(inside, eta, 1.0) * self.sigma * math.sqrt(2.0 * math.pi)
-            )
-            # 0/0 a few ulps above eta = 0, where both factors underflow, is 0.
-            out = np.where(inside & (d > 0.0), d / self._mass(), 0.0)
-        return out if out.ndim else float(out)
-
     def survival(self, eta, include_equal=False):
         eta = np.asarray(eta, dtype=float)
         z_hi = -self.mu / self.sigma
@@ -615,11 +564,26 @@ class TruncatedLogNormal(TransmittanceDistribution):
     def support(self):
         return (self.lo, 1.0)
 
-    @property
-    def edges(self):
-        # Taken in log space, so no edge above 1 can overflow.
+    def chart(self):
+        """eta itself on [lo, 1], weighted by the density.
+
+        The points are exp(mu + z sigma) at the z-scores
+        ``_LOG_NORMAL_EDGE_Z``, those below 1: they bracket the peak, so a
+        law far narrower than its support is not missed.
+        """
+        # Taken in log space, so no point above 1 can overflow.
         logs = (self.mu + z * self.sigma for z in _LOG_NORMAL_EDGE_Z)
-        return tuple(math.exp(v) for v in logs if v < 0.0)
+        points = tuple(math.exp(v) for v in logs if v < 0.0)
+        mass = self._mass()
+
+        def g(eta):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                z = (np.log(eta) - self.mu) / self.sigma
+                d = np.exp(-0.5 * z * z) / (eta * self.sigma * math.sqrt(2.0 * math.pi))
+            # 0/0 a few ulps above eta = 0, where both factors underflow, is 0.
+            return eta, np.where(d > 0.0, d / mass, 0.0)
+
+        return self.lo, 1.0, points, g
 
 
 @dataclass(frozen=True)

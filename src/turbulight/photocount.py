@@ -45,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import QuadratureSpec, special_on_first_use
-from .pdt import TransmittanceDistribution, _between
+from .numerics import QuadratureSpec, _between, special_on_first_use
+from .pdt import TransmittanceDistribution
 
 special = special_on_first_use(globals())
 

@@ -14,6 +14,7 @@ from collections import namedtuple
 
 import mpmath as mp
 import numpy as np
+from scipy import stats
 
 from turbulight.pdt import (
     AdaptiveCorrelated,
@@ -290,6 +291,36 @@ def heat_smoothed_quad_variance(mean, occ, anom, kappa, phase,
     m1 = (w * xq).sum() / w_sum
     m2 = (w * xq * xq).sum() / w_sum
     return m2 - m1 * m1
+
+
+# ---------------------------------------------------------------------------
+# densities of the continuous laws
+# ---------------------------------------------------------------------------
+
+
+def beta_density(p, q, lo=0.0):
+    """Density of Beta(p, q) conditioned on [lo, 1], as a scalar function.
+
+    scipy.stats' pdf divided by the mass of [lo, 1] from mpmath's
+    regularized incomplete beta, so no law method normalizes it.
+    """
+    with mp.workdps(40):
+        mass = float(mp.betainc(p, q, lo, 1, regularized=True))
+    pdf = stats.beta(p, q).pdf
+    return lambda eta: float(pdf(eta)) / mass if lo <= eta <= 1.0 else 0.0
+
+
+def lognormal_density(mu, sigma, lo=0.0):
+    """Density of eta with ln eta ~ N(mu, sigma^2), conditioned on [lo, 1].
+
+    scipy.stats' pdf divided by the mass of [lo, 1] from mpmath's normal
+    CDF, taken as complementary CDFs so no tail cancels.
+    """
+    with mp.workdps(40):
+        z_lo = (mp.log(lo) - mu) / sigma if lo > 0.0 else -mp.inf
+        mass = float(mp.ncdf(-z_lo) - mp.ncdf(mp.mpf(mu) / sigma))
+    pdf = stats.lognorm(sigma, scale=math.exp(mu)).pdf
+    return lambda eta: float(pdf(eta)) / mass if lo <= eta <= 1.0 else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,10 @@ def test_settings_validation():
     with pytest.raises(ValueError):
         BellSettings(squeezing=0.1, detector=det, channel=channel,
                      angles_a=(0.0, 1.0, 2.0))
+    # A squeeze parameter that is no real number gets the same ValueError.
+    for squeezing in ("x", None):
+        with pytest.raises(ValueError, match="squeeze parameter"):
+            BellSettings(squeezing, det, channel)
 
 
 @pytest.mark.parametrize("angles", [0.3, ("x", 0.1)], ids=["scalar", "non-number"])

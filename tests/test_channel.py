@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
-from oracles import batch_statistic, sample_joint
+from oracles import batch_statistic, beta_density, sample_joint
 from turbulight.channel import (
     attenuate_moment,
     characteristic_out,
@@ -151,11 +151,12 @@ def test_thermal_characteristic_closed_form():
 def test_coherent_characteristic_matches_reference_quadrature():
     alpha = 0.8 - 0.6j
     dist = Beta(2.0, 5.0)
+    density = beta_density(dist.p, dist.q)
     c_in = lambda beta: np.exp(beta * np.conj(alpha) - np.conj(beta) * alpha)
     beta = 0.9 + 0.4j
 
     def integrand(e, part):
-        val = c_in(math.sqrt(e) * beta) * dist.density(np.array([e]))[0]
+        val = c_in(math.sqrt(e) * beta) * density(e)
         return part(val)
 
     re, _ = sp_integrate.quad(integrand, 0.0, 1.0, args=(np.real,),

@@ -153,3 +153,10 @@ def test_model_validation():
         HomodyneModel(lo_amplitude=1.0, min_transmittance=0.0)
     with pytest.raises(ValueError):
         HomodyneModel(lo_amplitude=1.0, min_transmittance=1.2)
+    # Wrongly typed arguments get the model's own ValueError too.
+    with pytest.raises(ValueError, match="amplitude"):
+        HomodyneModel("x")
+    with pytest.raises(ValueError, match="noise counts"):
+        HomodyneModel(1.0, noise_counts="x")
+    with pytest.raises(ValueError, match="minimum transmittance"):
+        HomodyneModel(1.0, min_transmittance="x")

@@ -317,3 +317,14 @@ def test_quadrature_spec_validation():
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_depth=0)
+    # Wrongly typed or unbounded knobs get the spec's own ValueError; an
+    # infinite tolerance would return the unrefined first estimate.
+    for bad in ("x", math.inf, math.nan):
+        with pytest.raises(ValueError, match="rel_tol"):
+            QuadratureSpec(rel_tol=bad)
+        with pytest.raises(ValueError, match="abs_tol"):
+            QuadratureSpec(abs_tol=bad)
+    for bad in ("x", 2.5, True, None):
+        with pytest.raises(ValueError, match="max_depth"):
+            QuadratureSpec(max_depth=bad)
+    assert QuadratureSpec(max_depth=np.int64(3)).max_depth == 3

@@ -7,7 +7,10 @@ import pathlib
 import pkgutil
 import re
 
+import pytest
+
 import turbulight
+from turbulight import pdt
 
 # The command-line front end is run as a program, not re-exported.
 _FRONT_ENDS = {"cli"}
@@ -71,6 +74,18 @@ def test_only_the_integrators_and_expectation_take_a_quadrature_spec():
         if "spec" in inspect.signature(fn).parameters
     }
     assert with_spec == {"integrate", "integrate2", "TransmittanceDistribution.expectation"}
+
+
+def test_laws_average_through_atoms_or_their_own_chart():
+    # The law interface asks for no density: a continuous law hands the
+    # quadrature its own chart, and the base class has none to fall back on.
+    for cls in vars(pdt).values():
+        if isinstance(cls, type) and cls.__module__ == pdt.__name__:
+            assert not {"density", "edges"} & set(vars(cls)), cls.__name__
+    for cls in (pdt.Beta, pdt.TruncatedLogNormal, pdt.Scaled):
+        assert "chart" in vars(cls), cls.__name__
+    with pytest.raises(NotImplementedError):
+        pdt.TransmittanceDistribution().chart()
 
 
 def test_readme_python_blocks_run():

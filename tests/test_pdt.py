@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate as sp_integrate
 from scipy import special
 
-from oracles import sample_joint, sample_law
+from oracles import beta_density, lognormal_density, sample_joint, sample_law
 from turbulight import pdt
 from turbulight.bell import BellSettings, bell_parameter
 from turbulight.numerics import QuadratureAccuracyError
@@ -44,12 +44,16 @@ lognormals = (
 
 
 def quad_moment(dist, k):
-    """Moment by direct scipy integration of the density (oracle path)."""
+    """Moment by direct scipy integration of the oracle density."""
+    if isinstance(dist, Beta):
+        density = beta_density(dist.p, dist.q, dist.lo)
+    else:
+        density = lognormal_density(dist.mu, dist.sigma, dist.lo)
     lo, hi = dist.support
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sp_integrate.IntegrationWarning)
         value, _ = sp_integrate.quad(
-            lambda e: e**k * dist.density(np.array([e]))[0], lo, hi,
+            lambda e: e**k * density(e), lo, hi,
             epsabs=1e-13, epsrel=1e-13, limit=500,
         )
     return value
@@ -156,12 +160,13 @@ def test_lognormal_closed_moment_matches_quadrature(dist, k):
 
 
 @given(dist=st.one_of(betas, lognormals))
-def test_density_normalizes(dist):
-    lo, hi = dist.support
+def test_chart_weight_normalizes(dist):
+    a, b, points, g = dist.chart()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sp_integrate.IntegrationWarning)
         mass, _ = sp_integrate.quad(
-            lambda e: dist.density(np.array([e]))[0], lo, hi,
+            lambda s: g(np.array([s]))[1][0], a, b,
+            points=[p for p in points if a < p < b],
             epsabs=1e-12, epsrel=1e-12, limit=500,
         )
     assert mass == pytest.approx(1.0, abs=1e-9)
@@ -360,15 +365,14 @@ def test_lognormal_truncation_deep_in_upper_tail():
 NARROW = TruncatedLogNormal(math.log(0.37), 0.002)
 
 
-def test_lognormal_edges_bracket_the_peak():
+def test_lognormal_chart_points_bracket_the_peak():
     z = np.array([-8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0])
-    np.testing.assert_allclose(NARROW.edges, 0.37 * np.exp(0.002 * z), rtol=1e-15)
+    np.testing.assert_allclose(NARROW.chart()[2], 0.37 * np.exp(0.002 * z), rtol=1e-15)
     _, _, points, g = NARROW.scale(0.5).chart()
     np.testing.assert_allclose(g(np.array(points))[0], 0.185 * np.exp(0.002 * z), rtol=1e-15)
-    # Edges at or above 1 are left out, so a wide law cannot overflow.
-    assert len(TruncatedLogNormal(-0.1, 0.5).edges) == 4
-    assert max(TruncatedLogNormal(-1.0, 300.0).edges) == math.exp(-1.0)
-    assert Beta(2.0, 3.0).edges == () and Dirac(0.5).edges == ()
+    # Points at or above 1 are left out, so a wide law cannot overflow.
+    assert len(TruncatedLogNormal(-0.1, 0.5).chart()[2]) == 4
+    assert max(TruncatedLogNormal(-1.0, 300.0).chart()[2]) == math.exp(-1.0)
 
 
 def test_narrow_lognormal_expectation_is_normalized():
